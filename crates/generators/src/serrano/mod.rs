@@ -16,12 +16,15 @@
 //! 4. **Matching** — deficit-weighted peers pair up; distance acceptance
 //!    `exp(−d_ij/d_c)` with `d_c = ω_i ω_j/(κW)` suppresses long links
 //!    between small peers; reinforcement probability `r` trades
-//!    multi-links against partner diversity.
+//!    multi-links against partner diversity. Rejected draws are skipped in
+//!    law, not one by one (see [`match_deficits`]).
 //!
 //! The run history (`W`, `N`, `E`, `B` per iteration) is recorded so growth
 //! analyses (Fig. 1) and loop-scaling sweeps (Fig. 4) can read intermediate
 //! states.
 
+#[cfg(test)]
+mod equivalence;
 mod matching;
 mod params;
 mod users;
@@ -50,6 +53,28 @@ pub struct GrowthRecord {
     pub bandwidth: u64,
 }
 
+/// Matching outcomes summed over a run's rounds.
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
+pub struct MatchTotals {
+    /// Pair draws, rejected ones included.
+    pub attempts: u64,
+    /// Accepted pair draws.
+    pub accepted: u64,
+    /// Rounds the attempt budget ended with two or more nodes still active.
+    pub budget_bound_rounds: u32,
+    /// Deficit still unmet when each round ended, summed over rounds.
+    pub unmet_deficit: f64,
+}
+
+impl MatchTotals {
+    fn add(&mut self, round: &MatchStats) {
+        self.attempts += round.attempts;
+        self.accepted += round.accepted;
+        self.budget_bound_rounds += u32::from(round.budget_bound);
+        self.unmet_deficit += round.leftover;
+    }
+}
+
 /// Full output of a model run.
 #[derive(Debug, Clone)]
 pub struct SerranoRun {
@@ -59,6 +84,43 @@ pub struct SerranoRun {
     pub history: Vec<GrowthRecord>,
     /// Iterations executed.
     pub iterations: u32,
+    /// Matching outcomes over all rounds.
+    pub matching: MatchTotals,
+}
+
+/// One matching round: [`match_deficits`] in a run, and the pre-skipping
+/// oracle in the equivalence tests.
+type Matcher = fn(&mut MultiGraph, &mut [f64], f64, u64, &mut StdRng, Kernel) -> MatchStats;
+
+/// A round's acceptance probability for a pair: the distance kernel
+/// `exp(−d_ij/d_c)` with `d_c = ω_i ω_j/(κW)`, or 1 without the
+/// constraint.
+#[derive(Clone, Copy)]
+enum Kernel<'a> {
+    Distance {
+        positions: &'a [Point2],
+        users: &'a [f64],
+        kappa_w: f64,
+    },
+    Always,
+}
+
+impl Kernel<'_> {
+    #[inline]
+    fn prob(&self, i: usize, j: usize) -> f64 {
+        match *self {
+            Kernel::Distance {
+                positions,
+                users,
+                kappa_w,
+            } => {
+                let d = positions[i].dist(&positions[j]);
+                let dc = users[i] * users[j] / kappa_w;
+                (-d / dc.max(1e-12)).exp()
+            }
+            Kernel::Always => 1.0,
+        }
+    }
 }
 
 /// The competition–adaptation generator.
@@ -99,6 +161,12 @@ impl SerranoModel {
 
     /// Runs the model to `target_n` nodes, returning the full run record.
     pub fn run(&self, rng: &mut StdRng) -> SerranoRun {
+        self.run_with(rng, |g, deficits, r, budget, rng, kernel| {
+            match_deficits(g, deficits, r, budget, rng, |i, j| kernel.prob(i, j))
+        })
+    }
+
+    fn run_with(&self, rng: &mut StdRng, matcher: Matcher) -> SerranoRun {
         let p = &self.params;
         // Geography: a fixed fractal support for the whole run (the
         // environment's geography does not change as the network grows).
@@ -137,6 +205,7 @@ impl SerranoModel {
         }];
 
         let mut deficits: Vec<f64> = Vec::new();
+        let mut matching = MatchTotals::default();
         let mut t: u32 = 0;
         // Birth reserve: users collected smoothly each iteration (the
         // continuum −βω₀ levy) and spent ω₀ at a time when a node is born.
@@ -197,21 +266,16 @@ impl SerranoModel {
             let total_deficit: f64 = deficits.iter().sum();
             let budget =
                 (p.max_attempts_factor as u64).saturating_mul(total_deficit.ceil() as u64 + 2);
-            match kappa {
-                Some(kappa) => {
-                    let pos = &positions;
-                    let pool_ref = &pool;
-                    let _ = match_deficits(&mut g, &mut deficits, p.r, budget, rng, |i, j, rng| {
-                        let d = pos[i].dist(&pos[j]);
-                        let dc = pool_ref.users(i) * pool_ref.users(j) / (kappa * w);
-                        let prob = (-d / dc.max(1e-12)).exp();
-                        rng.gen_range(0.0..1.0) < prob
-                    });
-                }
-                None => {
-                    let _ = match_deficits(&mut g, &mut deficits, p.r, budget, rng, |_, _, _| true);
-                }
-            }
+            let kernel = match kappa {
+                Some(kappa) => Kernel::Distance {
+                    positions: &positions,
+                    users: pool.as_slice(),
+                    kappa_w: kappa * w,
+                },
+                None => Kernel::Always,
+            };
+            let round = matcher(&mut g, &mut deficits, p.r, budget, rng, kernel);
+            matching.add(&round);
 
             history.push(GrowthRecord {
                 t,
@@ -236,6 +300,7 @@ impl SerranoModel {
             },
             history,
             iterations: t,
+            matching,
         }
     }
 }

@@ -81,7 +81,10 @@ pub struct SerranoParams {
     /// constraint most draws are rejected, so under
     /// [`SerranoParams::paper_2001`] the budget binds in a share of
     /// iterations that grows with N: about 8–18% at N = 3 000 and 22–29%
-    /// at N = 11 000 (five and two seeds).
+    /// at N = 11 000 (five and two seeds). Draws the matcher skips in one
+    /// geometric jump count against the budget like any other, and
+    /// [`SerranoRun::matching`](super::SerranoRun::matching) reports how
+    /// many rounds it ended.
     pub max_attempts_factor: usize,
 }
 

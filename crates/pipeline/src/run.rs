@@ -434,6 +434,17 @@ fn check_graph(g: &MultiGraph, enabled: bool, what: &str) -> Result<(), Pipeline
     Ok(())
 }
 
+/// Holds off every other test that runs a pipeline. Under `fault-inject`
+/// the fault plan is process-wide, so a plan one test installs would fire
+/// in a pipeline another test runs.
+#[cfg(test)]
+pub(crate) fn serial_pipelines() -> std::sync::MutexGuard<'static, ()> {
+    static PIPELINES: std::sync::Mutex<()> = std::sync::Mutex::new(());
+    // A failed test poisons the lock; the `()` it guards cannot be left
+    // half-updated, so the next test may proceed.
+    PIPELINES.lock().unwrap_or_else(|p| p.into_inner())
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -449,6 +460,7 @@ mod tests {
 
     #[test]
     fn generator_scenario_measures_and_attacks() {
+        let _serial = serial_pipelines();
         let scenario = Scenario::parse(
             r#"
             [generator]
@@ -477,6 +489,7 @@ mod tests {
 
     #[test]
     fn scenario_attack_is_bit_identical_to_a_direct_sweep() {
+        let _serial = serial_pipelines();
         // The pipeline must add nothing to the numbers: same generator call,
         // same sweep config => identical cells, for any thread count.
         let direct = {
@@ -513,6 +526,7 @@ mod tests {
 
     #[test]
     fn input_scenario_round_trips_through_sinks() {
+        let _serial = serial_pipelines();
         let dir = temp_dir("sinks");
         let edge_list = dir.join("graph.txt");
         let generated = Scenario::parse(&format!(
@@ -551,6 +565,7 @@ mod tests {
 
     #[test]
     fn source_errors_keep_their_exit_codes() {
+        let _serial = serial_pipelines();
         // Unreadable input is a data error (4).
         let scenario = Scenario::parse("[input]\npath = \"/nonexistent/g.txt\"").unwrap();
         assert_eq!(run_scenario(&scenario).unwrap_err().exit_code(), 4);
@@ -563,6 +578,7 @@ mod tests {
 
     #[test]
     fn incompatible_checkpoint_exits_5() {
+        let _serial = serial_pipelines();
         let dir = temp_dir("ckpt");
         let ckpt = dir.join("state.json");
         let mk = |seed: u64| {
@@ -584,6 +600,7 @@ mod tests {
 
     #[test]
     fn journaled_run_commits_every_stage_and_resumes_from_artifacts() {
+        let _serial = serial_pipelines();
         let dir = temp_dir("journal");
         let runs = dir.join("runs");
         let curves = dir.join("curves");
@@ -646,6 +663,7 @@ mod tests {
 
     #[test]
     fn corrupted_artifact_degrades_to_re_execution_with_a_warning() {
+        let _serial = serial_pipelines();
         let dir = temp_dir("degrade");
         let runs = dir.join("runs");
         let text = "[generator]\nmodel = \"ba\"\nn = 60\nseed = 7\n\
@@ -689,6 +707,7 @@ mod tests {
 
     #[test]
     fn cancelled_run_exits_6_and_names_the_resume_command() {
+        let _serial = serial_pipelines();
         let dir = temp_dir("cancel");
         let text = "[generator]\nmodel = \"ba\"\nn = 60";
         let scenario = Scenario::parse(text).unwrap();
@@ -727,6 +746,7 @@ mod tests {
 
     #[test]
     fn unwritable_sinks_fail_fast_with_exit_2_before_any_compute() {
+        let _serial = serial_pipelines();
         let dir = temp_dir("preflight");
         let blocker = dir.join("blocker");
         std::fs::write(&blocker, "x").unwrap();
@@ -770,6 +790,7 @@ mod tests {
 
         #[test]
         fn injected_stage_faults_abort_with_exit_1() {
+            let _serial = serial_pipelines();
             for (scope, name) in STAGE_NAMES.iter().enumerate() {
                 let _guard = install(FaultPlan::single(
                     "pipeline.stage",
@@ -787,6 +808,7 @@ mod tests {
 
         #[test]
         fn panics_inside_a_stage_are_contained() {
+            let _serial = serial_pipelines();
             // The failpoint sits inside the fence, so an injected panic
             // becomes a Stage error instead of unwinding through the run.
             let _guard = install(FaultPlan::single(

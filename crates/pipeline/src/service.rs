@@ -1427,6 +1427,7 @@ mod tests {
 
     #[test]
     fn submit_status_result_round_trip_matches_a_direct_run() {
+        let _serial = crate::run::serial_pipelines();
         let dir = temp_dir("roundtrip");
         let (addr, handle) = start(test_config(dir.join("runs")));
         let resp = request(&addr, &encode_submit(TINY, "tiny.toml", &[], None), 2_000).unwrap();
@@ -1458,6 +1459,7 @@ mod tests {
 
     #[test]
     fn metrics_command_serves_valid_exposition_agreeing_with_stats() {
+        let _serial = crate::run::serial_pipelines();
         let dir = temp_dir("metrics");
         let (addr, handle) = start(test_config(dir.join("runs")));
         let resp = request(&addr, &encode_submit(TINY, "tiny.toml", &[], None), 2_000).unwrap();
