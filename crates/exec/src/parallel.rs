@@ -9,7 +9,8 @@
 //! threads claim chunks from a shared [`AtomicUsize`] cursor.
 //!
 //! Because the grid never changes with the thread count, and per-chunk
-//! results are merged **in chunk order** after all workers finish, every
+//! results reach the caller **in chunk order** (a chunk that finishes ahead
+//! of its turn waits in a reorder buffer), every
 //! output — including floating-point accumulations, whose value depends on
 //! summation order — is bit-identical for any `threads ≥ 1`. The
 //! single-thread path runs the same chunks in the same order inline, so it
@@ -81,9 +82,11 @@ where
     FS: Fn() -> S + Sync,
     FW: Fn(&mut S, Range<usize>) -> T + Sync,
 {
-    // Without a token no worker ever stops early, so the Err arm (empty
-    // default) is unreachable.
-    fanout_impl(len, threads, None, make_scratch, work).unwrap_or_default()
+    let mut parts = Vec::new();
+    // Without a token no worker ever stops early, so the result is always
+    // `Ok`.
+    let _ = fanout_in_order(len, threads, None, make_scratch, work, |t| parts.push(t));
+    parts
 }
 
 /// [`fanout_ordered`] with cooperative cancellation: workers poll `token`
@@ -106,122 +109,21 @@ where
     FS: Fn() -> S + Sync,
     FW: Fn(&mut S, Range<usize>) -> T + Sync,
 {
-    fanout_impl(len, threads, Some(token), make_scratch, work)
-}
-
-/// Shared work-stealing core. With `token: None` the claim loop never
-/// stops early and the result is always `Ok`.
-fn fanout_impl<S, T, FS, FW>(
-    len: usize,
-    threads: usize,
-    token: Option<&CancelToken>,
-    make_scratch: FS,
-    work: FW,
-) -> Result<Vec<T>, Cancelled>
-where
-    T: Send,
-    FS: Fn() -> S + Sync,
-    FW: Fn(&mut S, Range<usize>) -> T + Sync,
-{
-    let grid = chunk_grid(len);
-    let threads = threads.max(1).min(grid.len().max(1));
-    let cancelled = || token.map(CancelToken::is_cancelled).unwrap_or(false);
-    if threads <= 1 || grid.len() <= 1 {
-        let mut scratch = make_scratch();
-        let mut parts = Vec::with_capacity(grid.len());
-        for range in grid {
-            if cancelled() {
-                return Err(Cancelled);
-            }
-            parts.push(run_chunk(&work, &mut scratch, range));
-        }
-        return Ok(parts);
-    }
-
-    type Payload = Box<dyn std::any::Any + Send + 'static>;
-    type WorkerResult<T> = Result<Vec<(usize, T)>, (Range<usize>, Payload)>;
-
-    let cursor = AtomicUsize::new(0);
-    let outcomes: Vec<WorkerResult<T>> = std::thread::scope(|scope| {
-        let handles: Vec<_> = (0..threads)
-            .map(|_| {
-                let cursor = &cursor;
-                let grid = &grid;
-                let make_scratch = &make_scratch;
-                let work = &work;
-                scope.spawn(move || {
-                    let mut scratch = make_scratch();
-                    let mut done: Vec<(usize, T)> = Vec::new();
-                    loop {
-                        if cancelled() {
-                            return Ok(done);
-                        }
-                        let c = cursor.fetch_add(1, Ordering::Relaxed);
-                        let Some(range) = grid.get(c).cloned() else {
-                            return Ok(done);
-                        };
-                        let attempt =
-                            catch_unwind(AssertUnwindSafe(|| work(&mut scratch, range.clone())));
-                        match attempt {
-                            Ok(t) => done.push((c, t)),
-                            Err(payload) => return Err((range, payload)),
-                        }
-                    }
-                })
-            })
-            .collect();
-        handles
-            .into_iter()
-            .map(|h| h.join().unwrap_or_else(|payload| resume_unwind(payload)))
-            .collect()
-    });
-
-    let mut slots: Vec<Option<T>> = (0..grid.len()).map(|_| None).collect();
-    let mut failure: Option<(Range<usize>, Payload)> = None;
-    for outcome in outcomes {
-        match outcome {
-            Ok(parts) => {
-                for (c, t) in parts {
-                    slots[c] = Some(t);
-                }
-            }
-            // Report the earliest failing range so the message is
-            // deterministic when several workers panic at once.
-            Err(f) => {
-                failure = Some(match failure.take() {
-                    Some(old) if old.0.start <= f.0.start => old,
-                    _ => f,
-                })
-            }
-        }
-    }
-    // Not a new failure mode: re-raises the caught worker panic with the
-    // failing range attached, for the caller's containment layer.
-    #[allow(clippy::panic)]
-    if let Some((range, payload)) = failure {
-        panic!(
-            "parallel worker panicked on items {}..{}: {}",
-            range.start,
-            range.end,
-            PanicFence::message(&*payload)
-        );
-    }
-    let mut parts = Vec::with_capacity(slots.len());
-    for slot in slots {
-        match slot {
-            Some(t) => parts.push(t),
-            // Only reachable under cancellation: every chunk is otherwise
-            // claimed by exactly one worker.
-            None => return Err(Cancelled),
-        }
-    }
+    let mut parts = Vec::new();
+    fanout_in_order(len, threads, Some(token), make_scratch, work, |t| {
+        parts.push(t)
+    })?;
     Ok(parts)
 }
 
-/// [`fanout_ordered`] followed by an in-order fold of the chunk partials.
+/// [`fanout_ordered`] with the chunk partials folded instead of collected.
 /// Returns `None` when `len == 0` (no chunks). The fold runs on the calling
 /// thread in chunk order, so float accumulations stay bit-identical for any
 /// thread count.
+///
+/// Partials are folded **as they arrive**: a chunk that finishes ahead of
+/// its turn waits until every earlier chunk is folded, so only those
+/// stragglers are alive at once instead of one partial per chunk.
 pub fn fanout_reduce<S, T, FS, FW, FM>(
     len: usize,
     threads: usize,
@@ -235,9 +137,122 @@ where
     FW: Fn(&mut S, Range<usize>) -> T + Sync,
     FM: FnMut(T, T) -> T,
 {
-    fanout_ordered(len, threads, make_scratch, work)
-        .into_iter()
-        .reduce(&mut fold)
+    let mut acc: Option<T> = None;
+    let _ = fanout_in_order(len, threads, None, make_scratch, work, |t| {
+        acc = Some(match acc.take() {
+            Some(a) => fold(a, t),
+            None => t,
+        })
+    });
+    acc
+}
+
+/// Shared work-stealing core: runs every chunk of the grid and hands each
+/// result to `sink` on the calling thread, **in chunk order**, as soon as
+/// every earlier chunk has been handed over. A chunk that finishes ahead of
+/// its turn waits in a reorder buffer. With `token: None` the claim loop
+/// never stops early and the result is always `Ok`.
+fn fanout_in_order<S, T, FS, FW>(
+    len: usize,
+    threads: usize,
+    token: Option<&CancelToken>,
+    make_scratch: FS,
+    work: FW,
+    mut sink: impl FnMut(T),
+) -> Result<(), Cancelled>
+where
+    T: Send,
+    FS: Fn() -> S + Sync,
+    FW: Fn(&mut S, Range<usize>) -> T + Sync,
+{
+    let grid = chunk_grid(len);
+    let threads = threads.max(1).min(grid.len().max(1));
+    let cancelled = || token.map(CancelToken::is_cancelled).unwrap_or(false);
+    if threads <= 1 || grid.len() <= 1 {
+        let mut scratch = make_scratch();
+        for range in grid {
+            if cancelled() {
+                return Err(Cancelled);
+            }
+            sink(run_chunk(&work, &mut scratch, range));
+        }
+        return Ok(());
+    }
+
+    type Payload = Box<dyn std::any::Any + Send + 'static>;
+    let cursor = AtomicUsize::new(0);
+    let (tx, rx) = std::sync::mpsc::channel::<(usize, Result<T, Payload>)>();
+    let (delivered, failure) = std::thread::scope(|scope| {
+        let handles: Vec<_> = (0..threads)
+            .map(|_| {
+                let tx = tx.clone();
+                let (cursor, grid, make_scratch, work) = (&cursor, &grid, &make_scratch, &work);
+                scope.spawn(move || {
+                    let mut scratch = make_scratch();
+                    loop {
+                        if cancelled() {
+                            return;
+                        }
+                        let c = cursor.fetch_add(1, Ordering::Relaxed);
+                        let Some(range) = grid.get(c).cloned() else {
+                            return;
+                        };
+                        let attempt = catch_unwind(AssertUnwindSafe(|| work(&mut scratch, range)));
+                        let failed = attempt.is_err();
+                        if tx.send((c, attempt)).is_err() || failed {
+                            return;
+                        }
+                    }
+                })
+            })
+            .collect();
+        drop(tx);
+        let mut pending = std::collections::BTreeMap::new();
+        let mut next = 0usize;
+        let mut failure: Option<(usize, Payload)> = None;
+        for (c, attempt) in rx {
+            match attempt {
+                Ok(t) => {
+                    pending.insert(c, t);
+                    while let Some(t) = pending.remove(&next) {
+                        sink(t);
+                        next += 1;
+                    }
+                }
+                // Report the earliest failing chunk so the message is
+                // deterministic when several workers panic at once.
+                Err(payload) => {
+                    if failure.as_ref().map_or(true, |(f, _)| c < *f) {
+                        failure = Some((c, payload));
+                    }
+                }
+            }
+        }
+        // A panic outside `work` (in `make_scratch`) is re-raised as is.
+        for h in handles {
+            if let Err(payload) = h.join() {
+                resume_unwind(payload);
+            }
+        }
+        (next, failure)
+    });
+    // Not a new failure mode: re-raises the caught worker panic with the
+    // failing range attached, for the caller's containment layer.
+    #[allow(clippy::panic)]
+    if let Some((c, payload)) = failure {
+        panic!(
+            "parallel worker panicked on items {}..{}: {}",
+            grid[c].start,
+            grid[c].end,
+            PanicFence::message(&*payload)
+        );
+    }
+    // Only reachable under cancellation: every chunk is otherwise claimed
+    // and delivered.
+    if delivered < grid.len() {
+        return Err(Cancelled);
+    }
+    Ok(())
 }
 
 /// Single-threaded chunk execution with the same range-naming panic
@@ -373,6 +388,70 @@ mod tests {
                 "threads {threads}: message was {msg:?}"
             );
         }
+    }
+
+    #[test]
+    fn reduce_panic_names_the_earliest_failing_range() {
+        for threads in [1, 3] {
+            let result = catch_unwind(AssertUnwindSafe(|| {
+                fanout_reduce(
+                    100,
+                    threads,
+                    || (),
+                    |_, r: Range<usize>| {
+                        if r.start >= 40 {
+                            panic!("boom on purpose");
+                        }
+                        r.len()
+                    },
+                    |a, b| a + b,
+                )
+            }));
+            let payload = result.expect_err("must propagate the panic");
+            let msg = PanicFence::message(&*payload);
+            let first = chunk_grid(100).into_iter().find(|r| r.start >= 40).unwrap();
+            let range = format!("items {}..{}:", first.start, first.end);
+            assert!(
+                msg.contains(&range) && msg.contains("boom"),
+                "threads {threads}: message was {msg:?}"
+            );
+        }
+    }
+
+    #[test]
+    fn reduce_folds_partials_as_they_arrive() {
+        // Every chunk's partial holds a token that the fold drops. On one
+        // thread only the accumulator and the newest partial are ever
+        // alive, not one partial per chunk.
+        use std::sync::Arc;
+
+        /// Counts itself in `alive` until dropped.
+        struct Token(Arc<AtomicUsize>);
+        impl Drop for Token {
+            fn drop(&mut self) {
+                self.0.fetch_sub(1, Ordering::SeqCst);
+            }
+        }
+
+        let alive = Arc::new(AtomicUsize::new(0));
+        let mut peak = 0;
+        let total = fanout_reduce(
+            6400,
+            1,
+            || (),
+            |_, r: Range<usize>| {
+                alive.fetch_add(1, Ordering::SeqCst);
+                (r.len(), Some(Token(Arc::clone(&alive))))
+            },
+            |(a, _), (b, _)| {
+                peak = peak.max(alive.load(Ordering::SeqCst));
+                (a + b, None)
+            },
+        )
+        .map(|(n, _)| n);
+        assert_eq!(total, Some(6400));
+        assert_eq!(peak, 2);
+        assert_eq!(alive.load(Ordering::SeqCst), 0);
     }
 
     #[test]

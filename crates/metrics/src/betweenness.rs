@@ -6,8 +6,8 @@
 //! gives an unbiased estimate scaled by `N / |sources|`.
 //!
 //! The traversals run through the fused engine in [`mod@crate::engine`]:
-//! hub-first relabeled, work-stealing fan-out, merged in fixed chunk order
-//! so the result is bit-identical for any thread count.
+//! leaf-folded and BFS-ordered, work-stealing fan-out, folded in fixed
+//! chunk order so the result is bit-identical for any thread count.
 //! When paths and betweenness are both wanted, use
 //! [`crate::engine::paths_and_betweenness`] to get both from one sweep.
 

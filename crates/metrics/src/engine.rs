@@ -8,38 +8,58 @@
 //! strides). This module fuses them: each source is traversed once, and
 //! per-source flags say which observables that traversal feeds.
 //!
-//! Per-source cost is kept minimal:
+//! Every sweep runs on a private **core view** of the graph built once per
+//! call:
+//!
+//! * **Leaves are folded.** A leaf is a degree-1 node whose one neighbour
+//!   has degree ≥ 2 (the single-provider stubs that make up ~40% of a
+//!   serrano giant). It is dropped from the core and its parent keeps a
+//!   leaf count instead. A leaf at level `d + 1` of a traversal is fully
+//!   determined by its parent at level `d`: it adds one node to the level
+//!   width, `σ(leaf) = σ(parent)`, and it adds exactly `1` to its parent's
+//!   Brandes dependency. K2 components and isolated nodes stay in the core.
+//! * **The core is relabeled in BFS order from the hubs**: seeds in
+//!   (degree desc, id asc) order, children visited by degree desc. Nodes
+//!   that are close in the graph get close indices, so a BFS level touches
+//!   few cache lines of the `dist`/`σ` arrays, and the hubs most shortest
+//!   paths cross sit in the hot prefix. It is built straight into
+//!   offsets/targets arrays.
+//!
+//! Per-source cost on the core:
 //!
 //! * Sources that only feed the path-length histogram are traversed in
 //!   **bit-parallel batches of 64**: each node carries a `u64` of
 //!   per-source visited bits, so one pass over the edges advances 64 BFS
-//!   frontiers at once and a popcount per node yields the histogram. This
-//!   replaces 64 scattered `dist[w]` probes per edge with one word OR.
+//!   frontiers at once and a popcount per node yields the histogram. A
+//!   node newly reached by `k` lanes adds `k · leaves(v)` to the next
+//!   level's width.
 //! * Brandes sources run level by level over a single `order` vector that
 //!   doubles as the FIFO queue and, read backwards, as the dependency-pass
-//!   stack — no separate `VecDeque`/stack allocations.
-//! * Brandes path counts `σ` are written on a node's discovery instead of
-//!   being reset between sources, and `dist`/`δ`/predecessor lists are
-//!   reset touched-only. Predecessors stay in per-node lists like the
-//!   seed's: both a flat CSR-shaped predecessor arena and a pred-less CSR
-//!   rescan of the dependency condition were measured *slower* on
-//!   heavy-tailed graphs (extra random cache lines per DAG edge).
-//! * The path-length histogram is updated **once per BFS level** (level
-//!   width added to `counts[d]`), not once per visited node, and the
-//!   efficiency sum `Σ 1/d` is derived from the final histogram instead of
-//!   doing one float division per reachable pair.
-//! * Between sources only the entries actually touched (those in `order`)
-//!   are reset.
+//!   stack. No predecessor lists are kept: the dependency pass is in
+//!   **pull form**, `δ(v) = leaves(v) + σ(v) · Σ (1 + δ(w)) / σ(w)` over
+//!   the neighbours `w` one level deeper, and the per-node term
+//!   `(1 + δ(w)) / σ(w)` is stored when `w` is finished. `σ` and that term
+//!   are written before they are read, so only `dist` is reset between
+//!   sources.
+//! * A **leaf source** runs from its parent, one level deeper: every other
+//!   node's dependency is the parent's, and the parent itself gets
+//!   `reached − 2` (every node but the leaf and the parent lies behind it).
+//! * Path widths and closeness sums count a level-`d` node's leaves at level
+//!   `d + 1`, so they stay exact integers. The histogram is updated **once
+//!   per BFS level**, and the efficiency sum `Σ 1/d` is derived from the
+//!   final histogram.
 //!
 //! Batches and sources fan out over the deterministic pool behind
-//! [`inet_exec::Executor::map_ordered`]; per-chunk partials are merged in
-//! chunk order, so every result is **bit-identical for any thread
-//! count**.
+//! [`inet_exec::Executor::reduce_ordered`]; per-chunk partials are folded
+//! in chunk order as they arrive, so every result is **bit-identical for
+//! any thread count** and only a few chunks' dependency vectors are alive
+//! at once.
 
 use crate::paths::PathStats;
 use inet_exec::Executor;
 use inet_graph::traversal::UNREACHABLE;
 use inet_graph::Csr;
+use std::cmp::Reverse;
 
 /// What one source's traversal should feed.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -244,50 +264,159 @@ pub(crate) fn closeness_values(g: &Csr, threads: usize) -> Vec<f64> {
     sweep(g, &specs, threads).closeness
 }
 
-/// Per-worker reusable buffers. Betweenness arrays are only allocated when
-/// the sweep contains betweenness sources. `sigma` is (over)written on a
-/// node's discovery, so it needs no reset between sources; `dist`, `delta`
-/// and the predecessor lists are reset touched-only.
+/// Leaf-folded, BFS-ordered core view of a graph (see the module docs).
+struct Core {
+    /// Node count of the original graph.
+    nodes: usize,
+    /// `offsets[c]..offsets[c + 1]` indexes `targets` for core node `c`.
+    offsets: Vec<usize>,
+    /// Concatenated core neighbour lists, in core labels, ascending.
+    targets: Vec<u32>,
+    /// Folded leaves hanging off each core node.
+    leaves: Vec<u32>,
+    /// Original id of each core node.
+    old_of: Vec<u32>,
+    /// Core node a traversal from each original node starts at: the node
+    /// itself, or its parent when it is a leaf.
+    root_of: Vec<u32>,
+}
+
+impl Core {
+    /// Folds the leaves of `g` and relabels the rest in BFS order from the
+    /// hubs.
+    fn fold(g: &Csr) -> Self {
+        let n = g.node_count();
+        let is_leaf: Vec<bool> = (0..n)
+            .map(|v| g.degree(v) == 1 && g.degree(g.neighbors(v)[0] as usize) >= 2)
+            .collect();
+        let mut seeds: Vec<u32> = (0..n as u32).filter(|&v| !is_leaf[v as usize]).collect();
+        seeds.sort_by_key(|&v| (Reverse(g.degree(v as usize)), v));
+
+        let mut new_of = vec![u32::MAX; n];
+        let mut old_of: Vec<u32> = Vec::with_capacity(seeds.len());
+        let mut children: Vec<u32> = Vec::new();
+        for &seed in &seeds {
+            if new_of[seed as usize] != u32::MAX {
+                continue;
+            }
+            new_of[seed as usize] = old_of.len() as u32;
+            old_of.push(seed);
+            let mut head = old_of.len() - 1;
+            while head < old_of.len() {
+                let v = old_of[head] as usize;
+                head += 1;
+                children.clear();
+                children.extend(
+                    g.neighbors(v)
+                        .iter()
+                        .copied()
+                        .filter(|&w| !is_leaf[w as usize] && new_of[w as usize] == u32::MAX),
+                );
+                // Stable: equal degrees keep ascending id order.
+                children.sort_by_key(|&w| Reverse(g.degree(w as usize)));
+                for &w in &children {
+                    new_of[w as usize] = old_of.len() as u32;
+                    old_of.push(w);
+                }
+            }
+        }
+
+        let mut leaves = vec![0u32; old_of.len()];
+        let root_of: Vec<u32> = (0..n)
+            .map(|v| {
+                if is_leaf[v] {
+                    let parent = new_of[g.neighbors(v)[0] as usize];
+                    leaves[parent as usize] += 1;
+                    parent
+                } else {
+                    new_of[v]
+                }
+            })
+            .collect();
+
+        let mut offsets = Vec::with_capacity(old_of.len() + 1);
+        let mut targets = Vec::new();
+        offsets.push(0);
+        for &old in &old_of {
+            let start = targets.len();
+            targets.extend(
+                g.neighbors(old as usize)
+                    .iter()
+                    .filter(|&&w| !is_leaf[w as usize])
+                    .map(|&w| new_of[w as usize]),
+            );
+            targets[start..].sort_unstable();
+            offsets.push(targets.len());
+        }
+        Core {
+            nodes: n,
+            offsets,
+            targets,
+            leaves,
+            old_of,
+            root_of,
+        }
+    }
+
+    /// Number of core nodes.
+    fn len(&self) -> usize {
+        self.old_of.len()
+    }
+
+    /// Core neighbours of core node `c`.
+    #[inline]
+    fn neighbors(&self, c: usize) -> &[u32] {
+        &self.targets[self.offsets[c]..self.offsets[c + 1]]
+    }
+
+    /// The core node a traversal from original node `v` starts at, and
+    /// whether `v` is a folded leaf (one hop outside that node).
+    #[inline]
+    fn root(&self, v: u32) -> (usize, bool) {
+        let root = self.root_of[v as usize] as usize;
+        (root, self.old_of[root] != v)
+    }
+}
+
+/// Per-worker reusable buffers over the core. Betweenness arrays are only
+/// allocated when the sweep contains betweenness sources. `sigma` is
+/// (over)written on a node's discovery and `coeff` when the dependency pass
+/// finishes the node, so only `dist` needs a reset between sources.
 struct Workspace {
     dist: Vec<u32>,
     sigma: Vec<f64>,
-    delta: Vec<f64>,
-    /// Per-node predecessor lists, cleared touched-only between sources.
-    preds: Vec<Vec<u32>>,
+    /// `(1 + δ(v)) / σ(v)` of each node the dependency pass has finished.
+    coeff: Vec<f64>,
     /// BFS visitation order; doubles as the FIFO queue during traversal and
     /// as the reverse-iteration stack of the dependency pass.
     order: Vec<u32>,
+    /// `level_starts[d]` is the index in `order` where level `d` begins.
+    level_starts: Vec<usize>,
+    /// Nodes (core and folded leaves) at each distance from the root.
+    widths: Vec<u64>,
 }
 
 impl Workspace {
     fn new(n: usize, betweenness: bool) -> Self {
+        let bc_len = if betweenness { n } else { 0 };
         Workspace {
             dist: vec![UNREACHABLE; n],
-            sigma: if betweenness {
-                vec![0.0; n]
-            } else {
-                Vec::new()
-            },
-            delta: if betweenness {
-                vec![0.0; n]
-            } else {
-                Vec::new()
-            },
-            preds: if betweenness {
-                vec![Vec::new(); n]
-            } else {
-                Vec::new()
-            },
+            sigma: vec![0.0; bc_len],
+            coeff: vec![0.0; bc_len],
             order: Vec::with_capacity(n),
+            level_starts: Vec::new(),
+            widths: Vec::new(),
         }
     }
 }
 
-/// Per-chunk partial accumulations, merged in chunk order by [`sweep`].
+/// Per-chunk partial accumulations, folded in chunk order by [`sweep`].
 struct Partial {
     counts: Vec<u64>,
     unreachable: u64,
+    /// Dependency sums in core labels.
     bc: Option<Vec<f64>>,
+    /// Closeness per original source id.
     closeness: Vec<(u32, f64)>,
 }
 
@@ -300,76 +429,48 @@ impl Partial {
             closeness: Vec::new(),
         }
     }
+
+    /// Folds the next chunk's partial into this one. Dependency sums add
+    /// slot by slot, so folding in chunk order fixes every float sum's
+    /// order for any thread count.
+    fn merge(mut self, next: Partial) -> Partial {
+        for (d, c) in next.counts.into_iter().enumerate() {
+            add_count(&mut self.counts, d, c);
+        }
+        self.unreachable += next.unreachable;
+        match (&mut self.bc, next.bc) {
+            (Some(acc), Some(bc)) => {
+                for (slot, b) in acc.iter_mut().zip(bc) {
+                    *slot += b;
+                }
+            }
+            (None, bc) => self.bc = bc,
+            (Some(_), None) => {}
+        }
+        self.closeness.extend(next.closeness);
+        self
+    }
 }
 
 /// Runs the fused traversal for every spec, fanning sources out over
 /// `threads` work-stealing workers, and merges the partials in chunk order.
 ///
-/// The graph is first relabeled **hub-first** (degree descending): on
-/// heavy-tailed graphs most shortest-path hops pass through the high-degree
-/// core, so packing those nodes into the low indices keeps the hot prefix
-/// of the `dist`/`σ`/`δ` arrays cache-resident. Relabeling permutes only
-/// *which slot* each node's sums land in, not the order the sums are taken
-/// in, for everything except the Brandes visitation order — whose deviation
-/// from the seed is a couple of ulp, checked by the cross-check tests.
-/// Results are scattered back to the caller's node ids.
-///
-/// Sources that only feed the path-length histogram are traversed in
-/// bit-parallel batches of 64 (histogram counts are integers, so the
-/// batched order changes nothing); sources that feed betweenness or
-/// closeness take the per-source [`fused_source`] path.
+/// The traversals run on the leaf-folded, BFS-ordered [`Core`]; results are
+/// scattered back to the caller's node ids. Sources that only feed the
+/// path-length histogram are traversed in bit-parallel batches of 64
+/// (histogram counts are integers, so the batched order changes nothing);
+/// sources that feed betweenness or closeness take the per-source
+/// [`fused_source`] path.
 pub(crate) fn sweep(g: &Csr, specs: &[SourceSpec], threads: usize) -> SweepTotals {
     let n = g.node_count();
     if n == 0 || specs.is_empty() {
-        return SweepTotals {
-            counts: Vec::new(),
-            unreachable_pairs: 0,
-            betweenness: vec![0.0; n],
-            closeness: vec![0.0; n],
-        };
+        return SweepTotals::zeros(n);
     }
+    let core = {
+        let _span = inet_obs::span::enter("metrics.engine.fold", n as u64);
+        Core::fold(g)
+    };
 
-    // old_of[new] = old id, nodes sorted by (degree desc, id asc);
-    // new_of[old] inverts it.
-    let mut old_of: Vec<u32> = (0..n as u32).collect();
-    old_of.sort_by_key(|&v| (std::cmp::Reverse(g.degree(v as usize)), v));
-    let mut new_of = vec![0u32; n];
-    for (new, &old) in old_of.iter().enumerate() {
-        new_of[old as usize] = new as u32;
-    }
-    let mut edges = Vec::with_capacity(g.edge_count());
-    for u in 0..n {
-        for &v in g.neighbors(u) {
-            if (v as usize) > u {
-                edges.push((new_of[u] as usize, new_of[v as usize] as usize));
-            }
-        }
-    }
-    let gp = Csr::from_edges(n, &edges);
-    let specs: Vec<SourceSpec> = specs
-        .iter()
-        .map(|s| SourceSpec {
-            node: new_of[s.node as usize],
-            ..*s
-        })
-        .collect();
-
-    let mut totals = sweep_relabeled(&gp, &specs, threads);
-    // Each `(new, old)` pair scatters the permuted slot straight back.
-    let mut betweenness = vec![0.0; n];
-    let mut closeness = vec![0.0; n];
-    for (new, &old) in old_of.iter().enumerate() {
-        betweenness[old as usize] = totals.betweenness[new];
-        closeness[old as usize] = totals.closeness[new];
-    }
-    totals.betweenness = betweenness;
-    totals.closeness = closeness;
-    totals
-}
-
-/// [`sweep`] body, operating on the hub-first relabeled graph.
-fn sweep_relabeled(g: &Csr, specs: &[SourceSpec], threads: usize) -> SweepTotals {
-    let n = g.node_count();
     let light: Vec<u32> = specs
         .iter()
         .filter(|s| s.paths && !s.betweenness && !s.closeness)
@@ -382,57 +483,72 @@ fn sweep_relabeled(g: &Csr, specs: &[SourceSpec], threads: usize) -> SweepTotals
         .collect();
     let needs_bc = heavy.iter().any(|s| s.betweenness);
 
-    let mut totals = SweepTotals {
-        counts: Vec::new(),
-        unreachable_pairs: 0,
-        betweenness: vec![0.0; n],
-        closeness: vec![0.0; n],
-    };
-
     let pool = Executor::new(threads);
-    let heavy_partials = pool.map_ordered(
+    let heavy_total = pool.reduce_ordered(
         heavy.len(),
-        || Workspace::new(n, needs_bc),
+        || Workspace::new(core.len(), needs_bc),
         |ws, range| {
             let mut part = Partial::empty();
             for spec in &heavy[range] {
-                fused_source(g, *spec, ws, &mut part);
+                fused_source(&core, *spec, ws, &mut part);
             }
             part
         },
+        Partial::merge,
     );
     let batches = light.len().div_ceil(BATCH);
-    let light_partials = pool.map_ordered(
+    let light_total = pool.reduce_ordered(
         batches,
-        || BatchWorkspace::new(n),
+        || BatchWorkspace::new(core.len()),
         |ws, range| {
             let mut part = Partial::empty();
             for b in range {
                 let batch = &light[b * BATCH..light.len().min((b + 1) * BATCH)];
-                batched_paths(g, batch, ws, &mut part);
+                batched_paths(&core, batch, ws, &mut part);
             }
             part
         },
+        Partial::merge,
     );
+    let total = heavy_total
+        .into_iter()
+        .chain(light_total)
+        .reduce(Partial::merge)
+        .unwrap_or_else(Partial::empty);
 
-    for part in heavy_partials.into_iter().chain(light_partials) {
-        if part.counts.len() > totals.counts.len() {
-            totals.counts.resize(part.counts.len(), 0);
-        }
-        for (slot, c) in totals.counts.iter_mut().zip(part.counts) {
-            *slot += c;
-        }
-        totals.unreachable_pairs += part.unreachable;
-        if let Some(pbc) = part.bc {
-            for (slot, b) in totals.betweenness.iter_mut().zip(pbc) {
-                *slot += b;
-            }
-        }
-        for (node, value) in part.closeness {
-            totals.closeness[node as usize] = value;
+    let mut totals = SweepTotals::zeros(n);
+    totals.counts = total.counts;
+    totals.unreachable_pairs = total.unreachable;
+    if let Some(bc) = total.bc {
+        // Folded leaves lie on no shortest path between two other nodes,
+        // so their betweenness stays 0.
+        for (&old, b) in core.old_of.iter().zip(bc) {
+            totals.betweenness[old as usize] = b;
         }
     }
+    for (node, value) in total.closeness {
+        totals.closeness[node as usize] = value;
+    }
     totals
+}
+
+impl SweepTotals {
+    fn zeros(n: usize) -> Self {
+        SweepTotals {
+            counts: Vec::new(),
+            unreachable_pairs: 0,
+            betweenness: vec![0.0; n],
+            closeness: vec![0.0; n],
+        }
+    }
+}
+
+/// Adds `width` pairs at distance `d` to a histogram.
+fn add_count(counts: &mut Vec<u64>, d: usize, width: u64) {
+    if d >= counts.len() {
+        counts.resize(d + 1, 0);
+    }
+    counts[d] += width;
 }
 
 /// Sources per bit-parallel BFS batch: one visited bit per `u64` lane.
@@ -455,93 +571,98 @@ impl BatchWorkspace {
     }
 }
 
-/// Advances up to 64 BFS frontiers at once: each node holds a `u64` whose
-/// bit *i* means "visited from `sources[i]`". One pass over the edges per
-/// level ORs frontier words into neighbours, and the per-level popcount sum
-/// is exactly the histogram width contributed by the whole batch.
-fn batched_paths(g: &Csr, sources: &[u32], ws: &mut BatchWorkspace, out: &mut Partial) {
-    let n = g.node_count();
-    for x in ws.visited.iter_mut() {
-        *x = 0;
-    }
-    for x in ws.frontier.iter_mut() {
-        *x = 0;
-    }
+/// Advances up to 64 BFS frontiers at once over the core: each node holds a
+/// `u64` whose bit *i* means "visited from `sources[i]`". One pass over the
+/// edges per level ORs frontier words into neighbours, and the per-level
+/// popcount sum, plus the folded leaves of the previous level, is exactly
+/// the histogram width contributed by the whole batch.
+fn batched_paths(core: &Core, sources: &[u32], ws: &mut BatchWorkspace, out: &mut Partial) {
+    ws.visited.fill(0);
+    ws.frontier.fill(0);
+    // Leaves one hop beyond the current level; seeded with the leaves of
+    // the core sources themselves.
+    let mut leaf_width = 0u64;
+    let mut leaf_lanes = 0u64;
     for (i, &s) in sources.iter().enumerate() {
-        ws.visited[s as usize] |= 1u64 << i;
-        ws.frontier[s as usize] |= 1u64 << i;
+        let bit = 1u64 << i;
+        let (root, leaf) = core.root(s);
+        if leaf {
+            // A leaf source enters at its parent, at level 1.
+            ws.next[root] |= bit;
+            leaf_lanes += 1;
+        } else {
+            ws.visited[root] |= bit;
+            ws.frontier[root] |= bit;
+            leaf_width += core.leaves[root] as u64;
+        }
     }
     // (source, source) pairs count as reached at distance 0.
     let mut reached = sources.len() as u64;
     let mut d = 0usize;
     loop {
-        for v in 0..n {
+        for v in 0..core.len() {
             let f = ws.frontier[v];
             if f != 0 {
-                for &w in g.neighbors(v) {
+                for &w in core.neighbors(v) {
                     ws.next[w as usize] |= f;
                 }
             }
         }
         d += 1;
-        let mut width = 0u64;
-        for v in 0..n {
+        let mut width = leaf_width;
+        leaf_width = 0;
+        for v in 0..core.len() {
             let new = ws.next[v] & !ws.visited[v];
             ws.visited[v] |= new;
             ws.frontier[v] = new;
             ws.next[v] = 0;
-            width += new.count_ones() as u64;
+            let lanes = new.count_ones() as u64;
+            width += lanes;
+            leaf_width += lanes * core.leaves[v] as u64;
+        }
+        if d == 1 {
+            // Each leaf lane meets its own source among its parent's leaves.
+            leaf_width -= leaf_lanes;
         }
         if width == 0 {
             break;
         }
-        if d >= out.counts.len() {
-            out.counts.resize(d + 1, 0);
-        }
-        out.counts[d] += width;
+        add_count(&mut out.counts, d, width);
         reached += width;
     }
-    out.unreachable += n as u64 * sources.len() as u64 - reached;
+    out.unreachable += core.nodes as u64 * sources.len() as u64 - reached;
 }
 
-/// One fused source traversal: level-by-level BFS with optional Brandes
-/// path counting, followed by the optional dependency pass, then a
-/// touched-only workspace reset.
-fn fused_source(g: &Csr, spec: SourceSpec, ws: &mut Workspace, out: &mut Partial) {
-    let n = g.node_count();
-    let s = spec.node as usize;
+/// One fused source traversal: level-by-level BFS over the core with
+/// optional Brandes path counting, followed by the optional pull-form
+/// dependency pass, then a `dist` reset.
+fn fused_source(core: &Core, spec: SourceSpec, ws: &mut Workspace, out: &mut Partial) {
+    let (root, leaf_source) = core.root(spec.node);
     let bc_pass = spec.betweenness;
 
     ws.order.clear();
-    ws.dist[s] = 0;
-    ws.order.push(spec.node);
+    ws.level_starts.clear();
+    ws.widths.clear();
+    ws.dist[root] = 0;
+    ws.order.push(root as u32);
     if bc_pass {
-        ws.sigma[s] = 1.0;
+        ws.sigma[root] = 1.0;
     }
 
-    let mut close_sum = 0u64;
+    // Leaves of the previous level, which sit at the current one.
+    let mut leaves_above = 0u64;
     let mut level_start = 0usize;
     let mut d = 0u32;
     while level_start < ws.order.len() {
         let level_end = ws.order.len();
-        if d >= 1 {
-            let width = (level_end - level_start) as u64;
-            if spec.paths {
-                let di = d as usize;
-                if di >= out.counts.len() {
-                    out.counts.resize(di + 1, 0);
-                }
-                out.counts[di] += width;
-            }
-            if spec.closeness {
-                close_sum += d as u64 * width;
-            }
-        }
+        ws.level_starts.push(level_start);
+        let mut level_leaves = 0u64;
         for idx in level_start..level_end {
             let v = ws.order[idx] as usize;
+            level_leaves += core.leaves[v] as u64;
             if bc_pass {
                 let sv = ws.sigma[v];
-                for &w in g.neighbors(v) {
+                for &w in core.neighbors(v) {
                     let wi = w as usize;
                     let dw = ws.dist[wi];
                     if dw == UNREACHABLE {
@@ -550,14 +671,12 @@ fn fused_source(g: &Csr, spec: SourceSpec, ws: &mut Workspace, out: &mut Partial
                         // never needs a reset between sources.
                         ws.sigma[wi] = sv;
                         ws.order.push(w);
-                        ws.preds[wi].push(v as u32);
                     } else if dw == d + 1 {
                         ws.sigma[wi] += sv;
-                        ws.preds[wi].push(v as u32);
                     }
                 }
             } else {
-                for &w in g.neighbors(v) {
+                for &w in core.neighbors(v) {
                     let wi = w as usize;
                     if ws.dist[wi] == UNREACHABLE {
                         ws.dist[wi] = d + 1;
@@ -566,17 +685,42 @@ fn fused_source(g: &Csr, spec: SourceSpec, ws: &mut Workspace, out: &mut Partial
                 }
             }
         }
+        ws.widths
+            .push((level_end - level_start) as u64 + leaves_above);
+        leaves_above = level_leaves;
         level_start = level_end;
         d += 1;
     }
+    if leaves_above > 0 {
+        ws.widths.push(leaves_above);
+    }
 
+    // Widths are distances from the root; a leaf source sits one hop
+    // further out and is itself one of the root's level-1 leaves.
+    let shift = leaf_source as usize;
+    let mut reached = 0u64;
+    let mut close_sum = 0u64;
+    for (k, &width) in ws.widths.iter().enumerate() {
+        reached += width;
+        let width = width - (leaf_source && k == 1) as u64;
+        let dist = k + shift;
+        if dist == 0 || width == 0 {
+            continue;
+        }
+        if spec.paths {
+            add_count(&mut out.counts, dist, width);
+        }
+        close_sum += dist as u64 * width;
+    }
+
+    let n = core.nodes;
     if spec.paths {
-        out.unreachable += (n - ws.order.len()) as u64;
+        out.unreachable += n as u64 - reached;
     }
     if spec.closeness {
         // Wasserman–Faust component-aware closeness, exactly as in
         // `centrality::closeness`.
-        let reachable = (ws.order.len() - 1) as u64;
+        let reachable = reached - 1;
         let value = if close_sum > 0 && n > 1 {
             let frac = reachable as f64 / (n as f64 - 1.0);
             frac * reachable as f64 / close_sum as f64
@@ -587,44 +731,45 @@ fn fused_source(g: &Csr, spec: SourceSpec, ws: &mut Workspace, out: &mut Partial
     }
 
     if bc_pass {
-        // Dependency pass in reverse visitation order. `order[0]` is the
-        // source, which has no predecessors and accumulates no betweenness,
-        // so it is skipped. The per-node coefficient `(1 + δ_w) / σ_w` is
-        // hoisted so each predecessor costs one multiply instead of a
-        // divide and a multiply; this deviates from the seed's per-edge
-        // `σ_v / σ_w · (1 + δ_w)` by at most a couple of ulp (the
-        // cross-check tests compare at 1e-9) and stays bit-identical
-        // across thread counts, which is the contract that matters.
-        let bc = out.bc.get_or_insert_with(|| vec![0.0; n]);
-        for idx in (1..ws.order.len()).rev() {
-            let w = ws.order[idx] as usize;
-            let coeff = (1.0 + ws.delta[w]) / ws.sigma[w];
-            for &v in &ws.preds[w] {
-                let vi = v as usize;
-                ws.delta[vi] += ws.sigma[vi] * coeff;
+        // Pull-form dependency pass, deepest level first. Level 0 is the
+        // root, which accumulates no betweenness from its own traversal.
+        // The per-node coefficient `(1 + δ_w) / σ_w` turns each successor
+        // into one add; this deviates from the seed's per-edge
+        // `σ_v / σ_w · (1 + δ_w)` by a few ulp (the cross-check tests
+        // compare at 1e-9) and stays bit-identical across thread counts,
+        // which is the contract that matters.
+        let bc = out.bc.get_or_insert_with(|| vec![0.0; core.len()]);
+        ws.level_starts.push(ws.order.len());
+        for level in (1..ws.level_starts.len() - 1).rev() {
+            let succ = level as u32 + 1;
+            for idx in (ws.level_starts[level]..ws.level_starts[level + 1]).rev() {
+                let v = ws.order[idx] as usize;
+                let mut pull = 0.0;
+                for &w in core.neighbors(v) {
+                    if ws.dist[w as usize] == succ {
+                        pull += ws.coeff[w as usize];
+                    }
+                }
+                let delta = core.leaves[v] as f64 + ws.sigma[v] * pull;
+                ws.coeff[v] = (1.0 + delta) / ws.sigma[v];
+                bc[v] += delta;
             }
-            bc[w] += ws.delta[w];
+        }
+        if leaf_source {
+            // Every node but the leaf and its parent lies behind the parent.
+            bc[root] += (reached - 2) as f64;
         }
     }
 
     // Reset for the next source. When the traversal covered most of the
-    // graph (the usual case on a giant component), sequential fills beat
+    // core (the usual case on a giant component), a sequential fill beats
     // touching the same entries in random BFS order; the touched-only path
     // wins on small components.
-    if ws.order.len() * 4 >= n {
-        ws.dist.iter_mut().for_each(|x| *x = UNREACHABLE);
-        if bc_pass {
-            ws.delta.iter_mut().for_each(|x| *x = 0.0);
-            ws.preds.iter_mut().for_each(Vec::clear);
-        }
+    if ws.order.len() * 4 >= core.len() {
+        ws.dist.fill(UNREACHABLE);
     } else {
         for &v in &ws.order {
-            let vi = v as usize;
-            ws.dist[vi] = UNREACHABLE;
-            if bc_pass {
-                ws.delta[vi] = 0.0;
-                ws.preds[vi].clear();
-            }
+            ws.dist[v as usize] = UNREACHABLE;
         }
     }
 }
@@ -790,5 +935,230 @@ mod tests {
                 assert!((leaf - 5.0 / 9.0).abs() < 1e-12);
             }
         }
+    }
+
+    /// Star with centre 0 and `n - 1` leaves.
+    fn star(n: usize) -> Csr {
+        let edges: Vec<(usize, usize)> = (1..n).map(|i| (0, i)).collect();
+        Csr::from_edges(n, &edges)
+    }
+
+    /// Spine `0..spine` with `legs` leaves on every spine node; leaf labels
+    /// are interleaved with the spine's.
+    fn caterpillar(spine: usize, legs: usize) -> Csr {
+        let stride = legs + 1;
+        let mut edges: Vec<(usize, usize)> = (0..spine - 1)
+            .map(|i| (i * stride, (i + 1) * stride))
+            .collect();
+        for i in 0..spine {
+            edges.extend((1..=legs).map(|j| (i * stride, i * stride + j)));
+        }
+        Csr::from_edges(spine * stride, &edges)
+    }
+
+    /// A hub (node 5) carrying most of the leaves, a small cyclic core with
+    /// a few more leaves (nine of them on node 11), two K2 components and two
+    /// isolated nodes.
+    fn mixed_leaf_graph() -> Csr {
+        let mut edges = vec![(5, 6), (6, 7), (7, 5), (7, 8), (8, 9), (9, 5)];
+        edges.extend((20..42).map(|leaf| (5, leaf)));
+        edges.extend([(6, 42), (8, 43), (9, 44), (9, 45)]);
+        edges.extend([(0, 1), (2, 3)]); // two K2 components
+        edges.extend([10, 12, 13, 14, 15, 16, 17, 18, 19].map(|leaf| (11, leaf)));
+        edges.push((11, 6));
+        Csr::from_edges(47, &edges) // 4 and 46 isolated
+    }
+
+    /// ER core on the first `core` nodes, then a random recursive tree
+    /// grafted onto it: every later node attaches to one uniform earlier
+    /// node, which leaves roughly half the nodes as leaves.
+    fn leaf_heavy(n: usize, core: usize, p: f64, rng: &mut inet_stats::rng::StdRng) -> Csr {
+        let mut edges = Vec::new();
+        for i in 0..core {
+            for j in (i + 1)..core {
+                if rng.gen_range(0.0..1.0) < p {
+                    edges.push((i, j));
+                }
+            }
+        }
+        for v in core..n {
+            edges.push((rng.gen_range(0..v), v));
+        }
+        Csr::from_edges(n, &edges)
+    }
+
+    /// Closeness straight from its definition, one plain BFS per node.
+    fn closeness_reference(g: &Csr) -> Vec<f64> {
+        let n = g.node_count();
+        let mut dist = Vec::new();
+        (0..n)
+            .map(|v| {
+                inet_graph::traversal::bfs_distances_into(g, v, &mut dist);
+                let reached: Vec<u64> = dist
+                    .iter()
+                    .filter(|&&d| d != UNREACHABLE && d > 0)
+                    .map(|&d| d as u64)
+                    .collect();
+                let reachable = reached.len() as u64;
+                let sum: u64 = reached.iter().sum();
+                if sum > 0 && n > 1 {
+                    let frac = reachable as f64 / (n as f64 - 1.0);
+                    frac * reachable as f64 / sum as f64
+                } else {
+                    0.0
+                }
+            })
+            .collect()
+    }
+
+    /// Unreachable ordered pairs over `sources`, from plain BFS.
+    fn unreachable_reference(g: &Csr, sources: &[u32]) -> u64 {
+        let mut dist = Vec::new();
+        sources
+            .iter()
+            .map(|&s| {
+                inet_graph::traversal::bfs_distances_into(g, s as usize, &mut dist);
+                dist.iter().filter(|&&d| d == UNREACHABLE).count() as u64
+            })
+            .sum()
+    }
+
+    /// The leaf-folded sweep against the unfused oracles and the direct
+    /// closeness definition, for one `(kp, kb)` source pair.
+    fn assert_matches_oracles(g: &Csr, kp: usize, kb: usize, threads: usize, label: &str) {
+        let n = g.node_count();
+        let fused = paths_and_betweenness(g, kp, kb, threads);
+        let paths = crate::paths::PathStats::measure_sampled_unfused(g, kp);
+        let bc = crate::betweenness::betweenness_sampled_unfused(g, kb);
+        assert_eq!(fused.paths.counts, paths.counts, "{label} kp {kp}");
+        assert_eq!(fused.paths.diameter, paths.diameter, "{label}");
+        assert_eq!(fused.paths.sources, paths.sources, "{label}");
+        assert_eq!(fused.paths.exact, paths.exact, "{label}");
+        for (v, (a, b)) in fused.betweenness.iter().zip(&bc).enumerate() {
+            assert!(
+                (a - b).abs() <= 1e-9 * b.abs().max(1.0),
+                "{label} kb {kb} node {v}: folded {a}, unfused {b}"
+            );
+        }
+        let (path_set, _) = path_source_set(n, kp);
+        let (bc_set, _) = betweenness_source_set(n, kb);
+        let totals = sweep(g, &union_specs(&path_set, &bc_set), threads);
+        assert_eq!(totals.counts, paths.counts, "{label}");
+        assert_eq!(
+            totals.unreachable_pairs,
+            unreachable_reference(g, &path_set),
+            "{label} kp {kp}"
+        );
+    }
+
+    const SOURCE_PAIRS: [(usize, usize); 4] = [(usize::MAX, usize::MAX), (17, 9), (9, 17), (5, 0)];
+
+    #[test]
+    fn leaf_folding_matches_the_oracles_on_leafy_shapes() {
+        for (label, g) in [
+            ("star", star(40)),
+            ("path", path(40)),
+            ("caterpillar", caterpillar(11, 2)),
+            ("mixed", mixed_leaf_graph()),
+        ] {
+            let core = Core::fold(&g);
+            let n = g.node_count();
+            assert!(core.len() < n, "{label}: nothing folded");
+            for (kp, kb) in SOURCE_PAIRS {
+                // The stride sets must exercise leaf sources.
+                let (path_set, _) = path_source_set(n, kp);
+                assert!(path_set.iter().any(|&s| core.root(s).1), "{label} kp {kp}");
+                let (bc_set, _) = betweenness_source_set(n, kb);
+                assert!(
+                    bc_set.is_empty() || bc_set.iter().any(|&s| core.root(s).1),
+                    "{label} kb {kb}"
+                );
+                assert_matches_oracles(&g, kp, kb, 1, label);
+            }
+            let closeness: Vec<u64> = closeness_values(&g, 2)
+                .iter()
+                .map(|c| c.to_bits())
+                .collect();
+            let direct: Vec<u64> = closeness_reference(&g)
+                .iter()
+                .map(|c| c.to_bits())
+                .collect();
+            assert_eq!(closeness, direct, "{label} closeness");
+        }
+    }
+
+    #[test]
+    fn folded_star_centre_carries_every_pair() {
+        let n = 40;
+        let bc = paths_and_betweenness(&star(n), usize::MAX, usize::MAX, 1).betweenness;
+        assert!((bc[0] - ((n - 1) * (n - 2) / 2) as f64).abs() < 1e-9);
+        assert!(bc[1..].iter().all(|&b| b == 0.0));
+    }
+
+    #[test]
+    fn folding_keeps_k2_and_isolated_nodes_in_the_core() {
+        let core = Core::fold(&mixed_leaf_graph());
+        for v in [0u32, 1, 2, 3, 4, 46] {
+            assert!(!core.root(v).1, "node {v} folded");
+        }
+        // Hub 5 holds leaves 20..42; node 9 holds 44 and 45.
+        let (hub, _) = core.root(5);
+        assert_eq!(core.leaves[hub], 22);
+        assert_eq!(core.leaves[core.root(9).0], 2);
+        assert_eq!(core.root(30), (hub, true));
+        // The BFS relabel starts from the highest-degree node.
+        assert_eq!(core.old_of[0], 5);
+    }
+
+    #[test]
+    fn leaf_heavy_random_graphs_are_bit_identical_across_thread_counts() {
+        const SEED: u64 = 0x1eaf;
+        for case in 0..16u64 {
+            let mut rng = inet_stats::rng::child_rng(SEED, case);
+            let n = rng.gen_range(40..120);
+            let core = rng.gen_range(5..20);
+            let g = leaf_heavy(n, core, 0.3, &mut rng);
+            let label = format!("case {case} (n {n}, core {core})");
+            assert_matches_oracles(&g, 23, 11, 2, &label);
+            let base = paths_and_betweenness(&g, 23, 11, 1);
+            let exact = paths_and_betweenness(&g, usize::MAX, usize::MAX, 1);
+            let close = closeness_values(&g, 1);
+            for threads in [2, 7] {
+                let other = paths_and_betweenness(&g, 23, 11, threads);
+                assert_eq!(other.paths, base.paths, "{label} threads {threads}");
+                let bits = |v: &[f64]| v.iter().map(|b| b.to_bits()).collect::<Vec<_>>();
+                assert_eq!(bits(&other.betweenness), bits(&base.betweenness), "{label}");
+                let other = paths_and_betweenness(&g, usize::MAX, usize::MAX, threads);
+                assert_eq!(other.paths, exact.paths, "{label} threads {threads}");
+                assert_eq!(
+                    bits(&other.betweenness),
+                    bits(&exact.betweenness),
+                    "{label}"
+                );
+                assert_eq!(
+                    bits(&closeness_values(&g, threads)),
+                    bits(&close),
+                    "{label}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    #[ignore = "a 20 000-node growth plus unfused oracles; run in release with --ignored"]
+    fn leaf_folding_matches_the_oracles_on_a_serrano_giant() {
+        let spec = inet_generators::lookup("serrano-nodist").unwrap();
+        let generator = (spec.build)(&spec.resolve_n(20_000).unwrap()).unwrap();
+        let net = generator.generate(&mut inet_stats::rng::seeded_rng(3));
+        let (g, _) = inet_graph::traversal::giant_component(&net.graph.to_csr());
+        let n = g.node_count();
+        let leaves = n - Core::fold(&g).len();
+        assert!(leaves * 100 >= 35 * n, "{leaves} leaves of {n}");
+        assert_matches_oracles(&g, 400, 200, 7, "serrano giant");
+        let one = paths_and_betweenness(&g, 400, 200, 1);
+        let seven = paths_and_betweenness(&g, 400, 200, 7);
+        assert_eq!(one.paths, seven.paths);
+        let bits = |v: &[f64]| v.iter().map(|b| b.to_bits()).collect::<Vec<_>>();
+        assert_eq!(bits(&one.betweenness), bits(&seven.betweenness));
     }
 }
