@@ -104,11 +104,11 @@ fn ks_to_oracle_pool(
 /// Asserts every compared quantity's mean is within 3 combined standard
 /// errors between `seeds` oracle runs and `seeds` skipping runs at size `n`.
 fn assert_equivalent(n: usize, seeds: u64) {
-    let skip: Matcher = |g, deficits, r, budget, rng, kernel| {
-        match_deficits(g, deficits, r, budget, rng, |i, j| kernel.prob(i, j))
+    let skip: Matcher = |links, deficits, r, budget, rng, kernel| {
+        match_deficits(links, deficits, r, budget, rng, |i, j| kernel.prob(i, j))
     };
-    let one_draw: Matcher = |g, deficits, r, budget, rng, kernel| {
-        oracle::with_prob(g, deficits, r, budget, rng, |i, j| kernel.prob(i, j))
+    let one_draw: Matcher = |links, deficits, r, budget, rng, kernel| {
+        oracle::with_prob(links, deficits, r, budget, rng, |i, j| kernel.prob(i, j))
     };
     let want = runs(n, seeds, 0x0AC1E, one_draw);
     let got = runs(n, seeds, 0x5C1B, skip);

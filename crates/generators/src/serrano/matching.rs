@@ -36,7 +36,7 @@
 //! draws to the next acceptance are memoryless, so switching leaves the law
 //! unchanged.
 
-use inet_graph::{EdgeUpdate, MultiGraph, NodeId};
+use super::links::Links;
 use inet_stats::rng::StdRng;
 use inet_stats::DynamicWeightedSampler;
 
@@ -47,9 +47,10 @@ pub struct MatchStats {
     pub attempts: u64,
     /// Accepted pair draws; each adds one edge unit and runs the `r`-loop.
     pub accepted: u64,
-    /// New edges created between previously unconnected pairs.
+    /// New edges created between pairs unconnected before the round.
     pub new_edges: u64,
-    /// Reinforcement units added to existing pairs (including the `r`-loop).
+    /// Units added other than each new edge's first (including the
+    /// `r`-loop).
     pub reinforcements: u64,
     /// `true` when the attempt budget ended the round while two or more
     /// nodes were still active.
@@ -72,14 +73,15 @@ fn active(d: f64) -> f64 {
     }
 }
 
-/// Runs one matching round, mutating the graph and the deficits in place.
+/// Runs one matching round, adding its links and spending the deficits in
+/// place.
 ///
 /// `prob(i, j)` is the probability that a drawn pair connects (the
 /// distance kernel, or 1); it must be symmetric. A pair with `prob ≥ 1`
 /// connects without a draw. The round ends when fewer than two nodes are
 /// active or after `max_attempts` pair draws.
-pub fn match_deficits(
-    g: &mut MultiGraph,
+pub(crate) fn match_deficits(
+    links: &mut Links,
     deficits: &mut [f64],
     r: f64,
     max_attempts: u64,
@@ -93,9 +95,9 @@ pub fn match_deficits(
     let weights: Vec<f64> = deficits.iter().map(|&d| active(d)).collect();
     let mut round = Round::new(deficits, &weights, max_attempts);
     while let Some((i, j)) = round.next_pair(rng, &prob) {
-        round.connect(g, i, j, r, rng, &prob);
+        round.connect(links, i, j, r, rng, &prob);
     }
-    round.finish()
+    round.finish(links)
 }
 
 /// One matching round between acceptances.
@@ -267,10 +269,10 @@ impl<'a> Round<'a> {
 
     /// Connects an accepted pair: the first unit unconditionally, then
     /// extra units each with probability `r` while both peers remain
-    /// active.
+    /// active. The pair goes into the round's log as one entry.
     fn connect(
         &mut self,
-        g: &mut MultiGraph,
+        links: &mut Links,
         i: usize,
         j: usize,
         r: f64,
@@ -279,12 +281,9 @@ impl<'a> Round<'a> {
     ) {
         self.stats.accepted += 1;
         let (wi, wj) = (active(self.deficits[i]), active(self.deficits[j]));
-        let (ni, nj) = (NodeId::new(i), NodeId::new(j));
+        let mut units = 0;
         loop {
-            match g.add_edge(ni, nj).expect("i != j by masking") {
-                EdgeUpdate::Created => self.stats.new_edges += 1,
-                EdgeUpdate::Reinforced(_) => self.stats.reinforcements += 1,
-            }
+            units += 1;
             for &v in &[i, j] {
                 let was_active = self.deficits[v] >= 1.0;
                 self.deficits[v] -= 1.0;
@@ -301,6 +300,7 @@ impl<'a> Round<'a> {
                 break;
             }
         }
+        links.link(i, j, units);
         if let Some(ex) = &mut self.exact {
             let di = active(self.deficits[i]) - wi;
             let dj = active(self.deficits[j]) - wj;
@@ -308,11 +308,20 @@ impl<'a> Round<'a> {
         }
     }
 
-    fn finish(self) -> MatchStats {
+    /// Ends the round and merges its links.
+    fn finish(self, links: &mut Links) -> MatchStats {
         let mut stats = self.stats;
         stats.leftover = self.deficits.iter().filter(|&&d| d >= 1.0).sum();
+        close_round(links, &mut stats);
         stats
     }
+}
+
+/// Merges the round's links and counts its new edges and reinforcements.
+fn close_round(links: &mut Links, stats: &mut MatchStats) {
+    let (new_edges, units) = links.end_round();
+    stats.new_edges = new_edges;
+    stats.reinforcements = units - new_edges;
 }
 
 impl Exact {
@@ -376,9 +385,10 @@ pub(crate) mod oracle {
     use super::*;
 
     /// The pre-skipping loop, verbatim but for the `accepted` and
-    /// `budget_bound` counters.
+    /// `budget_bound` counters and the growth structure: each unit goes
+    /// into the round's log, and the round's end counts new edges.
     pub(crate) fn match_deficits(
-        g: &mut MultiGraph,
+        links: &mut Links,
         deficits: &mut [f64],
         r: f64,
         max_attempts: u64,
@@ -417,12 +427,8 @@ pub(crate) mod oracle {
             stats.accepted += 1;
             // First unit unconditionally, then extra units each with
             // probability `r` while both peers remain active.
-            let (ni, nj) = (NodeId::new(i), NodeId::new(j));
             loop {
-                match g.add_edge(ni, nj).expect("i != j by masking") {
-                    EdgeUpdate::Created => stats.new_edges += 1,
-                    EdgeUpdate::Reinforced(_) => stats.reinforcements += 1,
-                }
+                links.link(i, j, 1);
                 for &v in &[i, j] {
                     let was_active = deficits[v] >= 1.0;
                     deficits[v] -= 1.0;
@@ -442,6 +448,7 @@ pub(crate) mod oracle {
         }
         stats.budget_bound = active_count >= 2 && stats.attempts >= max_attempts;
         stats.leftover = deficits.iter().filter(|&&d| d >= 1.0).sum();
+        close_round(links, &mut stats);
         stats
     }
 
@@ -449,14 +456,14 @@ pub(crate) mod oracle {
     /// connects with probability `prob(i, j)`, without a draw when it is
     /// at least 1.
     pub(crate) fn with_prob(
-        g: &mut MultiGraph,
+        links: &mut Links,
         deficits: &mut [f64],
         r: f64,
         max_attempts: u64,
         rng: &mut StdRng,
         prob: impl Fn(usize, usize) -> f64,
     ) -> MatchStats {
-        match_deficits(g, deficits, r, max_attempts, rng, |i, j, rng| {
+        match_deficits(links, deficits, r, max_attempts, rng, |i, j, rng| {
             let p = prob(i, j);
             p >= 1.0 || rng.gen_range(0.0..1.0) < p
         })
@@ -466,6 +473,7 @@ pub(crate) mod oracle {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use inet_graph::NodeId;
     use inet_stats::rng::{child_rng, seeded_rng};
     use inet_stats::{ccdf_u64, Ccdf};
 
@@ -475,11 +483,11 @@ mod tests {
 
     #[test]
     fn two_nodes_pair_up() {
-        let mut g = MultiGraph::new();
-        g.add_nodes(2);
+        let mut links = Links::new(2);
         let mut deficits = vec![3.0, 3.0];
         let mut rng = seeded_rng(1);
-        let stats = match_deficits(&mut g, &mut deficits, 0.99, 1000, &mut rng, always);
+        let stats = match_deficits(&mut links, &mut deficits, 0.99, 1000, &mut rng, always);
+        let g = links.to_graph();
         // With r ~ 1 both burn their full deficit into one multi-edge.
         assert_eq!(g.edge_count(), 1);
         assert_eq!(g.total_weight(), 3);
@@ -491,11 +499,11 @@ mod tests {
 
     #[test]
     fn r_zero_diversifies_partners() {
-        let mut g = MultiGraph::new();
-        g.add_nodes(6);
+        let mut links = Links::new(6);
         let mut deficits = vec![4.0; 6];
         let mut rng = seeded_rng(2);
-        let _ = match_deficits(&mut g, &mut deficits, 0.0, 10_000, &mut rng, always);
+        let _ = match_deficits(&mut links, &mut deficits, 0.0, 10_000, &mut rng, always);
+        let g = links.to_graph();
         // With no reinforcement the same pair can still be drawn twice, but
         // most links should be distinct edges.
         assert!(g.edge_count() as u64 >= g.total_weight() / 2);
@@ -504,11 +512,11 @@ mod tests {
 
     #[test]
     fn inactive_nodes_never_connect() {
-        let mut g = MultiGraph::new();
-        g.add_nodes(4);
+        let mut links = Links::new(4);
         let mut deficits = vec![5.0, 5.0, 0.4, 0.0];
         let mut rng = seeded_rng(3);
-        let _ = match_deficits(&mut g, &mut deficits, 0.5, 10_000, &mut rng, always);
+        let _ = match_deficits(&mut links, &mut deficits, 0.5, 10_000, &mut rng, always);
+        let g = links.to_graph();
         for v in 2..4 {
             assert_eq!(
                 g.degree(NodeId::new(v)),
@@ -520,11 +528,11 @@ mod tests {
 
     #[test]
     fn attempt_budget_bounds_rejection_storms() {
-        let mut g = MultiGraph::new();
-        g.add_nodes(10);
+        let mut links = Links::new(10);
         let mut deficits = vec![2.0; 10];
         let mut rng = seeded_rng(4);
-        let stats = match_deficits(&mut g, &mut deficits, 0.5, 100, &mut rng, |_, _| 0.0);
+        let stats = match_deficits(&mut links, &mut deficits, 0.5, 100, &mut rng, |_, _| 0.0);
+        let g = links.to_graph();
         assert_eq!(stats.attempts, 100);
         assert!(stats.budget_bound);
         assert_eq!(g.edge_count(), 0);
@@ -533,11 +541,10 @@ mod tests {
 
     #[test]
     fn single_active_node_cannot_pair() {
-        let mut g = MultiGraph::new();
-        g.add_nodes(3);
+        let mut links = Links::new(3);
         let mut deficits = vec![5.0, 0.0, 0.0];
         let mut rng = seeded_rng(5);
-        let stats = match_deficits(&mut g, &mut deficits, 0.5, 1000, &mut rng, always);
+        let stats = match_deficits(&mut links, &mut deficits, 0.5, 1000, &mut rng, always);
         assert_eq!(stats.attempts, 0);
         assert!(!stats.budget_bound);
         assert_eq!(stats.leftover, 5.0);
@@ -545,12 +552,12 @@ mod tests {
 
     #[test]
     fn deficits_decrease_monotonically() {
-        let mut g = MultiGraph::new();
-        g.add_nodes(8);
+        let mut links = Links::new(8);
         let mut deficits = vec![3.7; 8];
         let before: f64 = deficits.iter().sum();
         let mut rng = seeded_rng(6);
-        let _ = match_deficits(&mut g, &mut deficits, 0.8, 10_000, &mut rng, always);
+        let _ = match_deficits(&mut links, &mut deficits, 0.8, 10_000, &mut rng, always);
+        let g = links.to_graph();
         let after: f64 = deficits.iter().sum();
         assert!(after < before);
         // Each edge unit consumed exactly two units of deficit.
@@ -560,17 +567,17 @@ mod tests {
     #[test]
     fn selective_acceptance_steers_topology() {
         // Only pairs (even, even) may connect.
-        let mut g = MultiGraph::new();
-        g.add_nodes(6);
+        let mut links = Links::new(6);
         let mut deficits = vec![2.0; 6];
         let mut rng = seeded_rng(7);
-        let _ = match_deficits(&mut g, &mut deficits, 0.5, 50_000, &mut rng, |a, b| {
+        let _ = match_deficits(&mut links, &mut deficits, 0.5, 50_000, &mut rng, |a, b| {
             if a % 2 == 0 && b % 2 == 0 {
                 1.0
             } else {
                 0.0
             }
         });
+        let g = links.to_graph();
         for (u, v, _) in g.edges() {
             assert!(u.index() % 2 == 0 && v.index() % 2 == 0);
         }
@@ -644,12 +651,16 @@ mod tests {
         let mut out = Sample::default();
         for case in 0..rounds {
             let mut rng = child_rng(1, case);
-            let mut g = MultiGraph::new();
-            g.add_nodes(state.deficits.len());
+            let mut links = Links::new(state.deficits.len());
             let mut deficits = state.deficits.clone();
             let (mut calls, mut first) = (0u64, None);
-            let stats =
-                oracle::match_deficits(&mut g, &mut deficits, state.r, state.budget, &mut rng, {
+            let stats = oracle::match_deficits(
+                &mut links,
+                &mut deficits,
+                state.r,
+                state.budget,
+                &mut rng,
+                {
                     |i, j, rng: &mut StdRng| {
                         calls += 1;
                         let p = state.prob(i, j);
@@ -659,7 +670,8 @@ mod tests {
                         }
                         hit
                     }
-                });
+                },
+            );
             out.push(first, &stats);
         }
         out
@@ -673,8 +685,7 @@ mod tests {
         let prob = |i, j| state.prob(i, j);
         for case in 0..rounds {
             let mut rng = child_rng(2, case);
-            let mut g = MultiGraph::new();
-            g.add_nodes(state.deficits.len());
+            let mut links = Links::new(state.deficits.len());
             let mut deficits = state.deficits.clone();
             let weights: Vec<f64> = deficits.iter().map(|&d| active(d)).collect();
             let mut round = Round::new(&mut deficits, &weights, state.budget);
@@ -689,10 +700,10 @@ mod tests {
                 if first.is_none() {
                     first = Some((i, j, round.stats.attempts));
                 }
-                round.connect(&mut g, i, j, state.r, &mut rng, &prob);
+                round.connect(&mut links, i, j, state.r, &mut rng, &prob);
                 was_exact = round.exact.is_some();
             }
-            let stats = round.finish();
+            let stats = round.finish(&mut links);
             entered += usize::from(did_enter);
             left += usize::from(did_leave);
             out.push(first, &stats);
@@ -843,11 +854,11 @@ mod tests {
             let rounds = 5_000;
             let mut stops = 0;
             for case in 0..rounds {
-                let mut g = MultiGraph::new();
-                g.add_nodes(2);
+                let mut links = Links::new(2);
                 let mut deficits = vec![1.5, 1.5];
                 let mut rng = child_rng(12 + budget, case);
-                let stats = match_deficits(&mut g, &mut deficits, 0.5, budget, &mut rng, |_, _| p);
+                let stats =
+                    match_deficits(&mut links, &mut deficits, 0.5, budget, &mut rng, |_, _| p);
                 stops += usize::from(stats.budget_bound);
             }
             let want = (1.0f64 - p).powi(budget as i32);
@@ -868,9 +879,7 @@ mod tests {
             let mut rng = child_rng(9, case);
             let n = rng.gen_range(2..40usize);
             let deficits: Vec<f64> = (0..n).map(|_| rng.gen_range(0.0..8.0)).collect();
-            let (mut g1, mut g2) = (MultiGraph::new(), MultiGraph::new());
-            g1.add_nodes(n);
-            g2.add_nodes(n);
+            let (mut g1, mut g2) = (Links::new(n), Links::new(n));
             let (mut d1, mut d2) = (deficits.clone(), deficits);
             let (mut r1, mut r2) = (child_rng(10, case), child_rng(10, case));
             let a = match_deficits(&mut g1, &mut d1, 0.6, 10_000, &mut r1, always);
@@ -889,13 +898,12 @@ mod tests {
         let prob = |i, j| state.prob(i, j);
         for case in 0..200 {
             let mut rng = child_rng(11, case);
-            let mut g = MultiGraph::new();
-            g.add_nodes(state.deficits.len());
+            let mut links = Links::new(state.deficits.len());
             let mut deficits = state.deficits.clone();
             let weights: Vec<f64> = deficits.iter().map(|&d| active(d)).collect();
             let mut round = Round::new(&mut deficits, &weights, u64::MAX);
             while let Some((i, j)) = round.next_pair(&mut rng, &prob) {
-                round.connect(&mut g, i, j, state.r, &mut rng, &prob);
+                round.connect(&mut links, i, j, state.r, &mut rng, &prob);
                 let Some(ex) = &round.exact else { continue };
                 for (k, &v) in ex.nodes.iter().enumerate() {
                     let full: f64 = ex

@@ -17,24 +17,28 @@
 //!    `exp(−d_ij/d_c)` with `d_c = ω_i ω_j/(κW)` suppresses long links
 //!    between small peers; reinforcement probability `r` trades
 //!    multi-links against partner diversity. Rejected draws are skipped in
-//!    law, not one by one (see [`match_deficits`]).
+//!    law, not one by one.
 //!
 //! The run history (`W`, `N`, `E`, `B` per iteration) is recorded so growth
 //! analyses (Fig. 1) and loop-scaling sweeps (Fig. 4) can read intermediate
-//! states.
+//! states. While the run grows, its links are kept as strengths and a
+//! sorted link list that each round's log is merged into; the
+//! [`inet_graph::MultiGraph`] is built once, when the run ends.
 
 #[cfg(test)]
 mod equivalence;
+mod links;
 mod matching;
 mod params;
 mod users;
 
-pub use matching::{match_deficits, MatchStats};
+use links::Links;
+pub(crate) use matching::match_deficits;
+pub use matching::MatchStats;
 pub use params::{DistanceConstraint, SerranoParams};
 pub use users::UserPool;
 
 use crate::{GeneratedNetwork, Generator, ModelError};
-use inet_graph::{MultiGraph, NodeId};
 use inet_spatial::{FractalSet, Point2};
 use inet_stats::rng::StdRng;
 
@@ -90,7 +94,7 @@ pub struct SerranoRun {
 
 /// One matching round: [`match_deficits`] in a run, and the pre-skipping
 /// oracle in the equivalence tests.
-type Matcher = fn(&mut MultiGraph, &mut [f64], f64, u64, &mut StdRng, Kernel) -> MatchStats;
+type Matcher = fn(&mut Links, &mut [f64], f64, u64, &mut StdRng, Kernel) -> MatchStats;
 
 /// A round's acceptance probability for a pair: the distance kernel
 /// `exp(−d_ij/d_c)` with `d_c = ω_i ω_j/(κW)`, or 1 without the
@@ -161,8 +165,8 @@ impl SerranoModel {
 
     /// Runs the model to `target_n` nodes, returning the full run record.
     pub fn run(&self, rng: &mut StdRng) -> SerranoRun {
-        self.run_with(rng, |g, deficits, r, budget, rng, kernel| {
-            match_deficits(g, deficits, r, budget, rng, |i, j| kernel.prob(i, j))
+        self.run_with(rng, |links, deficits, r, budget, rng, kernel| {
+            match_deficits(links, deficits, r, budget, rng, |i, j| kernel.prob(i, j))
         })
     }
 
@@ -185,8 +189,7 @@ impl SerranoModel {
         };
 
         let mut pool = UserPool::new(p.n0, p.omega0);
-        let mut g = MultiGraph::with_capacity(p.target_n + 16);
-        g.add_nodes(p.n0);
+        let mut links = Links::new(p.n0);
         place(p.n0, rng, &mut positions);
 
         // Distance-kernel cost density: kappa0 = omega0 / (n0 * sqrt(2)),
@@ -199,9 +202,9 @@ impl SerranoModel {
         let mut history: Vec<GrowthRecord> = vec![GrowthRecord {
             t: 0,
             users: pool.total(),
-            nodes: g.node_count(),
-            edges: g.edge_count(),
-            bandwidth: g.total_weight(),
+            nodes: links.node_count(),
+            edges: links.edge_count(),
+            bandwidth: links.total_weight(),
         }];
 
         let mut deficits: Vec<f64> = Vec::new();
@@ -217,7 +220,8 @@ impl SerranoModel {
         // Hard cap: generous multiple of the analytic horizon.
         let max_iters = p.horizon().saturating_mul(3).max(16);
 
-        while g.node_count() < p.target_n && t < max_iters {
+        let growth = inet_obs::span::enter("generators.serrano.run", p.target_n as u64);
+        while links.node_count() < p.target_n && t < max_iters {
             t += 1;
             let tf = t as f64;
 
@@ -234,18 +238,18 @@ impl SerranoModel {
             let expected_births = node_target - max_node_target;
             max_node_target = node_target;
             reserve += pool.levy(expected_births.max(0.0) * p.omega0);
-            while (g.node_count() as f64) < node_target.floor()
+            while (links.node_count() as f64) < node_target.floor()
                 && reserve >= p.omega0
-                && g.node_count() < p.target_n
+                && links.node_count() < p.target_n
             {
                 pool.add_node_funded(p.omega0);
                 reserve -= p.omega0;
-                g.add_node();
+                links.add_node();
                 place(1, rng, &mut positions);
             }
 
             // (4) adaptation: bandwidth targets and deficits.
-            let n = g.node_count();
+            let n = links.node_count();
             let w = pool.total();
             let big_b = p.bandwidth_at(tf);
             let denom = w - p.omega0 * n as f64;
@@ -258,7 +262,7 @@ impl SerranoModel {
             deficits.resize(n, 0.0);
             for (i, d) in deficits.iter_mut().enumerate() {
                 let target = 1.0 + a * (pool.users(i) - p.omega0);
-                let current = g.strength(NodeId::new(i)) as f64;
+                let current = links.strength(i) as f64;
                 *d = (target - current).max(0.0);
             }
 
@@ -274,22 +278,27 @@ impl SerranoModel {
                 },
                 None => Kernel::Always,
             };
-            let round = matcher(&mut g, &mut deficits, p.r, budget, rng, kernel);
+            let round = matcher(&mut links, &mut deficits, p.r, budget, rng, kernel);
             matching.add(&round);
 
             history.push(GrowthRecord {
                 t,
                 users: pool.total(),
-                nodes: g.node_count(),
-                edges: g.edge_count(),
-                bandwidth: g.total_weight(),
+                nodes: links.node_count(),
+                edges: links.edge_count(),
+                bandwidth: links.total_weight(),
             });
         }
+        drop(growth);
 
+        let graph = {
+            let _build = inet_obs::span::enter("generators.serrano.build", p.target_n as u64);
+            links.to_graph()
+        };
         let users = pool.as_slice().to_vec();
         SerranoRun {
             network: GeneratedNetwork {
-                graph: g,
+                graph,
                 positions: if positions.is_empty() {
                     None
                 } else {

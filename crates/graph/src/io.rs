@@ -47,16 +47,27 @@ pub fn write_edge_list<W: Write>(g: &MultiGraph, mut out: W) -> Result<()> {
 ///   [`write_edge_list`]) fixes the node count, so trailing isolated nodes
 ///   survive a round trip.
 /// * Each data line is `u v` or `u v w` (whitespace separated).
-/// * Duplicate pairs accumulate weight.
+/// * Duplicate pairs accumulate weight; a total weight beyond `u64` is a
+///   parse error naming the line that overflows it.
 /// * Without a header, the resulting node count is `max id + 1`.
-pub fn read_edge_list<R: BufRead>(input: R) -> Result<MultiGraph> {
+///
+/// Lines are parsed straight into normalized `(min, max, w)` links, which
+/// are sorted and merged only when the input does not already list each
+/// pair once in increasing order (as [`write_edge_list`] does); the graph
+/// is then built by [`MultiGraph::from_sorted_pairs`].
+pub fn read_edge_list<R: BufRead>(mut input: R) -> Result<MultiGraph> {
     inet_fault::check_contained("io.read", 0).map_err(|e| GraphError::Io(e.to_string()))?;
-    let mut edges: Vec<(usize, usize, u64)> = Vec::new();
-    let mut max_node = 0usize;
+    let mut pairs: Vec<(u32, u32, u64)> = Vec::new();
+    let mut sorted = true;
+    let mut total = 0u64;
+    let mut max_node = 0u32;
     let mut declared_nodes: Option<usize> = None;
-    for (line_no, line) in input.lines().enumerate() {
-        let line = line?;
-        let line_no = line_no + 1;
+    let mut line = String::new();
+    for line_no in 1.. {
+        line.clear();
+        if input.read_line(&mut line)? == 0 {
+            break;
+        }
         let trimmed = line.trim();
         if trimmed.is_empty() || trimmed.starts_with('#') {
             if declared_nodes.is_none() {
@@ -89,7 +100,7 @@ pub fn read_edge_list<R: BufRead>(input: R) -> Result<MultiGraph> {
                 message: format!("invalid {what} '{tok}'"),
             })
         };
-        let check_id = |id: u64, what: &str, line_no: usize| -> Result<usize> {
+        let check_id = |id: u64, what: &str, line_no: usize| -> Result<u32> {
             if id >= MAX_NODES as u64 {
                 return Err(GraphError::Parse {
                     line: line_no,
@@ -99,7 +110,7 @@ pub fn read_edge_list<R: BufRead>(input: R) -> Result<MultiGraph> {
                     ),
                 });
             }
-            Ok(id as usize)
+            Ok(id as u32)
         };
         let u = check_id(
             parse_field(parts.next(), "source", line_no)?,
@@ -130,16 +141,31 @@ pub fn read_edge_list<R: BufRead>(input: R) -> Result<MultiGraph> {
                 message: "zero edge weight".to_string(),
             });
         }
-        max_node = max_node.max(u).max(v);
-        edges.push((u, v, w));
+        if u == v {
+            return Err(GraphError::SelfLoop(NodeId::from_u32(u)));
+        }
+        // Every merged weight is at most the total, so this one check
+        // also keeps the duplicate sums of `merge_pairs` from overflowing.
+        total = total.checked_add(w).ok_or_else(|| GraphError::Parse {
+            line: line_no,
+            message: format!("edge weight {w} overflows the total weight"),
+        })?;
+        let pair = (u.min(v), u.max(v), w);
+        max_node = max_node.max(pair.1);
+        if let Some(&(a, b, _)) = pairs.last() {
+            sorted &= (a, b) < (pair.0, pair.1);
+        }
+        pairs.push(pair);
     }
-    let mut g = MultiGraph::new();
-    let implied = if edges.is_empty() { 0 } else { max_node + 1 };
-    g.add_nodes(declared_nodes.unwrap_or(implied).max(implied));
-    for (u, v, w) in edges {
-        g.add_edge_weighted(NodeId::new(u), NodeId::new(v), w)?;
+    if !sorted {
+        MultiGraph::merge_pairs(&mut pairs);
     }
-    Ok(g)
+    let implied = if pairs.is_empty() {
+        0
+    } else {
+        max_node as usize + 1
+    };
+    MultiGraph::from_sorted_pairs(declared_nodes.unwrap_or(implied).max(implied), &pairs)
 }
 
 #[cfg(test)]
@@ -206,6 +232,25 @@ mod tests {
                 "input {input:?}: expected {needle:?} in {err}"
             );
         }
+    }
+
+    #[test]
+    fn weight_overflow_is_a_parse_error_naming_the_line() {
+        for (input, line) in [
+            ("0 1 18446744073709551615\n0 1 2\n", 2),
+            ("0 1 18446744073709551615\n1 2\n", 2),
+            ("# c\n0 1 9223372036854775808\n2 1 9223372036854775808\n", 3),
+        ] {
+            let err = read_edge_list(input.as_bytes()).unwrap_err();
+            assert!(
+                matches!(err, GraphError::Parse { line: l, .. } if l == line),
+                "input {input:?}: {err}"
+            );
+            assert!(err.to_string().contains("overflows"), "{err}");
+        }
+        // The largest total still loads.
+        let g = read_edge_list("0 1 18446744073709551614\n1 0 1\n".as_bytes()).unwrap();
+        assert_eq!(g.weight(NodeId::new(0), NodeId::new(1)), u64::MAX);
     }
 
     #[test]

@@ -27,6 +27,13 @@ pub enum EdgeUpdate {
 /// * deterministic (sorted) neighbor iteration,
 /// * symmetric storage — `(i, j)` appears in both endpoints' maps with the
 ///   same weight; an internal invariant checked by the test suite.
+///
+/// A graph whose links are all known up front is cheaper to build in bulk:
+/// [`MultiGraph::from_sorted_pairs`] takes the distinct links sorted by
+/// `(u, v)` and fills every map with `BTreeMap`'s sorted bulk build, with no
+/// per-link search. The edge-list reader and the Serrano generator, which
+/// collects a run's links outside the graph while it grows, both build
+/// their graphs this way.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct MultiGraph {
     adj: Vec<BTreeMap<NodeId, u64>>,
@@ -62,6 +69,105 @@ impl MultiGraph {
             g.add_edge(NodeId::new(u), NodeId::new(v))?;
         }
         Ok(g)
+    }
+
+    /// Builds a graph with `nodes` nodes from its distinct links in one
+    /// pass. `pairs` holds `(u, v, weight)` with `u < v < nodes` and
+    /// `weight ≥ 1`, strictly increasing in `(u, v)`; anything else is an
+    /// error, as is a total weight beyond `u64`.
+    ///
+    /// Node `x`'s neighbours are its incoming links (`v == x`, found through
+    /// an index of one `u32` per link) followed by its slice of outgoing
+    /// links (`u == x`); both come in ascending order, so each map is made
+    /// by `BTreeMap`'s sorted bulk build. Equal to adding every link with
+    /// [`MultiGraph::add_edge_weighted`].
+    pub fn from_sorted_pairs(nodes: usize, pairs: &[(u32, u32, u64)]) -> Result<Self> {
+        if u32::try_from(pairs.len()).is_err() {
+            return Err(GraphError::Parse {
+                line: 0,
+                message: format!("{} links exceed the supported {}", pairs.len(), u32::MAX),
+            });
+        }
+        // Incoming links bucketed by `v`: offsets first, then link indices.
+        let mut offsets = vec![0u32; nodes + 1];
+        let mut total_weight = 0u64;
+        let mut last = None;
+        for &(u, v, w) in pairs {
+            if w == 0 {
+                return Err(GraphError::ZeroWeight);
+            }
+            if u == v {
+                return Err(GraphError::SelfLoop(NodeId::from_u32(u)));
+            }
+            if v as usize >= nodes {
+                return Err(GraphError::NodeOutOfBounds {
+                    node: NodeId::from_u32(v),
+                    node_count: nodes,
+                });
+            }
+            if u > v || last >= Some((u, v)) {
+                return Err(GraphError::Parse {
+                    line: 0,
+                    message: format!(
+                        "link ({u}, {v}) breaks strictly increasing (u, v) order with u < v"
+                    ),
+                });
+            }
+            last = Some((u, v));
+            total_weight = total_weight
+                .checked_add(w)
+                .ok_or_else(|| GraphError::Parse {
+                    line: 0,
+                    message: "total edge weight overflows u64".to_string(),
+                })?;
+            offsets[v as usize + 1] += 1;
+        }
+        for x in 0..nodes {
+            offsets[x + 1] += offsets[x];
+        }
+        let mut incoming = vec![0u32; pairs.len()];
+        let mut fill = offsets.clone();
+        for (k, &(_, v, _)) in pairs.iter().enumerate() {
+            incoming[fill[v as usize] as usize] = k as u32;
+            fill[v as usize] += 1;
+        }
+        drop(fill);
+        let mut adj = Vec::with_capacity(nodes);
+        let mut out = 0;
+        for x in 0..nodes {
+            let start = out;
+            while out < pairs.len() && pairs[out].0 as usize == x {
+                out += 1;
+            }
+            let ins = &incoming[offsets[x] as usize..offsets[x + 1] as usize];
+            let map: BTreeMap<NodeId, u64> = ins
+                .iter()
+                .map(|&k| (pairs[k as usize].0, pairs[k as usize].2))
+                .chain(pairs[start..out].iter().map(|&(_, v, w)| (v, w)))
+                .map(|(y, w)| (NodeId::from_u32(y), w))
+                .collect();
+            adj.push(map);
+        }
+        Ok(MultiGraph {
+            adj,
+            edge_count: pairs.len(),
+            total_weight,
+        })
+    }
+
+    /// Sorts links `(u, v, weight)` by `(u, v)` and sums the weights of
+    /// equal pairs, which puts normalized links (`u < v`) into the form
+    /// [`MultiGraph::from_sorted_pairs`] takes. Callers bound the total
+    /// weight first, so no sum overflows.
+    pub fn merge_pairs(pairs: &mut Vec<(u32, u32, u64)>) {
+        pairs.sort_unstable_by_key(|&(u, v, _)| (u, v));
+        pairs.dedup_by(|next, kept| {
+            let same = (next.0, next.1) == (kept.0, kept.1);
+            if same {
+                kept.2 += next.2;
+            }
+            same
+        });
     }
 
     /// Adds an isolated node and returns its id.

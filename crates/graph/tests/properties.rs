@@ -203,3 +203,144 @@ fn remove_then_readd_is_identity() {
         assert_eq!(g, g0, "case {case}");
     }
 }
+
+/// A link set in [`MultiGraph::from_sorted_pairs`] form. Case 0 is the
+/// empty graph; the others have 1..60 nodes, some with isolated nodes at
+/// the end, some with a hub joined to most nodes.
+fn sorted_pairs(rng: &mut StdRng, case: u64) -> (usize, Vec<(u32, u32, u64)>) {
+    if case == 0 {
+        return (0, Vec::new());
+    }
+    let n = rng.gen_range(1..60usize);
+    let used = if rng.gen_bool(0.5) {
+        rng.gen_range(1..=n)
+    } else {
+        n
+    };
+    let mut links = std::collections::BTreeMap::new();
+    if used >= 2 {
+        for _ in 0..rng.gen_range(0..150) {
+            let (u, v) = (rng.gen_range(0..used), rng.gen_range(0..used));
+            if u != v {
+                *links.entry((u.min(v), u.max(v))).or_insert(0) += rng.gen_range(1..5u64);
+            }
+        }
+        if rng.gen_bool(0.5) {
+            let hub = rng.gen_range(0..used);
+            for v in (0..used).filter(|&v| v != hub) {
+                if rng.gen_bool(0.8) {
+                    *links.entry((hub.min(v), hub.max(v))).or_insert(0) += 1;
+                }
+            }
+        }
+    }
+    let pairs = links
+        .into_iter()
+        .map(|((u, v), w)| (u as u32, v as u32, w))
+        .collect();
+    (n, pairs)
+}
+
+/// The bulk constructor builds exactly the graph that inserting every
+/// link one by one builds.
+#[test]
+fn bulk_build_equals_incremental_inserts() {
+    for case in 0..32 {
+        let (n, pairs) = sorted_pairs(&mut child_rng(SEED ^ 0xB, case), case);
+        let mut want = MultiGraph::with_capacity(n);
+        want.add_nodes(n);
+        for &(u, v, w) in &pairs {
+            want.add_edge_weighted(NodeId::from_u32(u), NodeId::from_u32(v), w)
+                .unwrap();
+        }
+        let got = MultiGraph::from_sorted_pairs(n, &pairs).unwrap();
+        assert_eq!(got, want, "case {case}");
+        got.validate()
+            .unwrap_or_else(|e| panic!("case {case}: {e}"));
+    }
+}
+
+/// Links out of order, duplicated, reversed, out of range, weightless,
+/// self-looped or overflowing the total weight are errors.
+#[test]
+fn bulk_build_rejects_malformed_links() {
+    use inet_graph::GraphError;
+    assert!(MultiGraph::from_sorted_pairs(3, &[(0, 1, 1), (1, 2, 1)]).is_ok());
+    type Expected = fn(&GraphError) -> bool;
+    type Links = [(u32, u32, u64)];
+    let order: Expected = |e| matches!(e, GraphError::Parse { .. });
+    let cases: [(&Links, Expected); 7] = [
+        (&[(0, 1, 0)], |e| *e == GraphError::ZeroWeight),
+        (&[(1, 1, 1)], |e| matches!(e, GraphError::SelfLoop(_))),
+        (&[(0, 3, 1)], |e| {
+            matches!(e, GraphError::NodeOutOfBounds { node_count: 3, .. })
+        }),
+        (&[(1, 0, 1)], order),
+        (&[(0, 2, 1), (0, 1, 1)], order),
+        (&[(0, 1, 1), (0, 1, 1)], order),
+        (&[(0, 1, u64::MAX), (1, 2, 1)], |e| {
+            e.to_string().contains("overflows")
+        }),
+    ];
+    for (pairs, expected) in cases {
+        let err = MultiGraph::from_sorted_pairs(3, pairs).unwrap_err();
+        assert!(expected(&err), "{pairs:?}: {err}");
+    }
+}
+
+/// Shuffling a file's lines, swapping its columns or splitting its weights
+/// into duplicate lines leaves the parsed graph unchanged; a self-loop line
+/// is still rejected.
+#[test]
+fn reader_ignores_line_order_orientation_and_split_duplicates() {
+    for case in 0..32 {
+        let mut rng = child_rng(SEED ^ 0x5E, case);
+        let (n, pairs) = sorted_pairs(&mut rng, case);
+        let g = MultiGraph::from_sorted_pairs(n, &pairs).unwrap();
+        let mut file = Vec::new();
+        inet_graph::io::write_edge_list(&g, &mut file).unwrap();
+        assert_eq!(
+            inet_graph::io::read_edge_list(file.as_slice()).unwrap(),
+            g,
+            "case {case}"
+        );
+        let header = format!("# nodes {n}\n");
+        for (shuffle, swap, split) in [
+            (true, false, false),
+            (false, true, false),
+            (false, false, true),
+            (true, true, true),
+        ] {
+            let mut lines = Vec::new();
+            for &(u, v, w) in &pairs {
+                let mut parts = vec![w];
+                if split && w > 1 {
+                    let first = rng.gen_range(1..w);
+                    parts = vec![first, w - first];
+                }
+                for part in parts {
+                    let (a, b) = if swap { (v, u) } else { (u, v) };
+                    lines.push(format!("{a} {b} {part}\n"));
+                }
+            }
+            if shuffle {
+                for k in (1..lines.len()).rev() {
+                    lines.swap(k, rng.gen_range(0..=k));
+                }
+            }
+            let text = header.clone() + &lines.concat();
+            let parsed = inet_graph::io::read_edge_list(text.as_bytes()).unwrap();
+            assert_eq!(
+                parsed, g,
+                "case {case} shuffle {shuffle} swap {swap} split {split}"
+            );
+        }
+        let looped = header + "0 1\n2 2\n1 0\n";
+        let err = inet_graph::io::read_edge_list(looped.as_bytes()).unwrap_err();
+        assert_eq!(
+            err,
+            inet_graph::GraphError::SelfLoop(NodeId::new(2)),
+            "case {case}"
+        );
+    }
+}

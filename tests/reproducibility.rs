@@ -67,3 +67,52 @@ fn trace_generation_and_fit_are_deterministic() {
     assert_eq!(r1.beta.to_bits(), r2.beta.to_bits());
     assert_eq!(r1.delta.to_bits(), r2.delta.to_bits());
 }
+
+/// FNV-64 (the run store's checksum) of a Serrano run's edge list, its
+/// growth history and its matching totals, floats by their bits.
+fn serrano_fingerprint(params: SerranoParams, seed: u64) -> u64 {
+    let run = SerranoModel::new(params).run(&mut seeded_rng(seed));
+    let mut bytes = Vec::new();
+    inet_model::graph::io::write_edge_list(&run.network.graph, &mut bytes).expect("in memory");
+    for h in &run.history {
+        let line = format!(
+            "{} {:x} {} {} {}\n",
+            h.t,
+            h.users.to_bits(),
+            h.nodes,
+            h.edges,
+            h.bandwidth
+        );
+        bytes.extend_from_slice(line.as_bytes());
+    }
+    let m = run.matching;
+    let line = format!(
+        "{} {} {} {:x}\n",
+        m.attempts,
+        m.accepted,
+        m.budget_bound_rounds,
+        m.unmet_deficit.to_bits()
+    );
+    bytes.extend_from_slice(line.as_bytes());
+    inet_model::resilience::checkpoint::fnv64(&bytes)
+}
+
+/// The Serrano streams are pinned: any change to a run's draws, links,
+/// history or matching totals must update these hashes on purpose.
+#[test]
+fn serrano_runs_are_pinned() {
+    let nodist = SerranoParams {
+        target_n: 3000,
+        ..SerranoParams::paper_2001_no_distance()
+    };
+    let dist = SerranoParams {
+        target_n: 2000,
+        ..SerranoParams::paper_2001()
+    };
+    let got = [serrano_fingerprint(nodist, 7), serrano_fingerprint(dist, 7)];
+    assert_eq!(
+        got,
+        [0x5a6a_c99e_4f90_5893, 0x99d6_1412_f45c_7bee],
+        "serrano-nodist 3000 seed 7, serrano 2000 seed 7"
+    );
+}
